@@ -38,7 +38,11 @@ from repro.kernels.search import (
     alive_degrees,
     cascade_rows,
     k_core_containing_rows,
+    prefix_communities,
+    prefix_entry_sizes,
+    prefix_sets_agree,
     restrict_rows,
+    search_flatgraph,
 )
 from repro.core.global_search import SearchStats
 from repro.core.peeling import (
@@ -207,61 +211,77 @@ def _expand_flat(
     deadline: Deadline | None,
     anytime: bool,
 ) -> list[frozenset[int]]:
-    """Array-backed Expand over a row-sorted CSR view of H^t_k.
+    """Expand over a row-sorted CSR view of H^t_k.
 
     The push idiom pays off here: ``gain[r]`` (member neighbors of row
     r) is maintained incrementally by one increment per pushed edge, so
     a priority read is O(1) for Eq. 3 instead of a neighbor scan —
-    recomputation at pop time (the lazy-stale check) becomes an array
-    lookup.  Row order equals ascending id order and the CSR rows are
+    recomputation at pop time (the lazy-stale check) becomes a lookup.
+    For Eq. 4 a histogram of member degrees keeps the current minimum
+    ``low``: adding r raises it iff r has more than ``low`` member
+    neighbors and is adjacent to every member of degree ``low``, so f1
+    needs only r's own neighbors.  Q's connectivity is tracked by
+    union-find only until Q is connected (members only grow).  The
+    per-vertex state lives in python lists over the cached CSR lists:
+    this loop holds the GIL, and plain list indexing beats numpy scalar
+    access.  Row order equals ascending id order and the CSR rows are
     pre-sorted, so heap contents match the reference path exactly.
     """
     q = sorted(set(query))
     n = fg.n
-    indptr, indices, ids = fg.indptr, fg.indices, fg.ids
+    indptr, indices, _weights = fg.lists()
+    ids = fg.ids
     qrows = fg.rows_of(q)
-    member = np.zeros(n, bool)
-    member[qrows] = True
-    degree_in = np.zeros(n, np.int64)
-    gain = np.zeros(n, np.int64)
+    member = [False] * n
+    for r in qrows:
+        member[r] = True
+    degree_in = [0] * n
+    gain = [0] * n
     uf = _UnionFind()
     for r in qrows:
         uf.add(r)
     for r in qrows:
-        for u in indices[indptr[r]:indptr[r + 1]].tolist():
+        for u in indices[indptr[r]:indptr[r + 1]]:
             if member[u]:
                 degree_in[r] += 1
                 uf.union(r, u)
             else:
                 gain[u] += 1
+    q_connected = len({uf.find(r) for r in qrows}) == 1
     zeta = max(ZETA, gd.max_layer() + 1)
-    layer = np.fromiter((gd.layer(v) for v in ids), np.int64, count=n)
-    # Members as a preallocated fill buffer: ``member_buf[:size]`` is
-    # the live member-row array, appended to in O(1) (rebuilding an
-    # ndarray per add is quadratic in community size).
-    member_buf = np.empty(n, np.int64)
-    member_buf[: len(qrows)] = qrows
-    size = len(qrows)
-    scratch = np.zeros(n, bool)
+    layer = [gd.layer(v) for v in ids]
+    at_degree = [0] * (n + 1)  # members per degree_in value
+    for r in qrows:
+        at_degree[degree_in[r]] += 1
+    low = min(degree_in[r] for r in qrows)
+    eq4 = strategy == "eq4"
 
     def priority(r: int) -> int:
-        g = int(gain[r])
-        if strategy == "eq3":
-            return LAMBDA * g + zeta - int(layer[r])
-        member_arr = member_buf[:size]
-        current_min = int(degree_in[member_arr].min())
-        nbr = indices[indptr[r]:indptr[r + 1]]
-        mn = nbr[member[nbr]]
-        scratch[mn] = True
-        joined = degree_in[member_arr] + scratch[member_arr]
-        scratch[mn] = False
-        joined_min = min(int(joined.min()), g)
-        f1 = 1 if joined_min > current_min else 0
-        return zeta * f1 + zeta - int(layer[r])
+        g = gain[r]
+        if not eq4:
+            return LAMBDA * g + zeta - layer[r]
+        f1 = 0
+        if g > low:
+            lows = sum(
+                1 for u in indices[indptr[r]:indptr[r + 1]]
+                if member[u] and degree_in[u] == low
+            )
+            f1 = 1 if lows == at_degree[low] else 0
+        return zeta * f1 + zeta - layer[r]
+
+    def bump(r: int) -> None:
+        """Eq. 4: raise member r's degree by one, keeping ``low``."""
+        nonlocal low
+        d = degree_in[r]
+        at_degree[d] -= 1
+        at_degree[d + 1] += 1
+        degree_in[r] = d + 1
+        if d == low and at_degree[d] == 0:
+            low = d + 1
 
     counter = 0
     heap: list[tuple[int, int, int]] = []
-    in_heap = np.zeros(n, bool)
+    in_heap = [False] * n
 
     def push(r: int) -> None:
         nonlocal counter
@@ -270,12 +290,13 @@ def _expand_flat(
         in_heap[r] = True
 
     for r in qrows:
-        for u in indices[indptr[r]:indptr[r + 1]].tolist():
+        for u in indices[indptr[r]:indptr[r + 1]]:
             if not member[u] and not in_heap[u]:
                 push(u)
 
     candidates: list[frozenset[int]] = []
     member_ids: set[int] = set(q)
+    size = len(qrows)
     budget = max_vertices if max_vertices is not None else n
     deficient = sum(1 for r in qrows if degree_in[r] < k)
     while heap and len(candidates) < max_candidates and size <= budget:
@@ -293,17 +314,25 @@ def _expand_flat(
             heapq.heappush(heap, (current_p, _count, r))
             continue
         member[r] = True
-        uf.add(r)
-        member_buf[size] = r
         member_ids.add(ids[r])
         size += 1
-        for u in indices[indptr[r]:indptr[r + 1]].tolist():
+        if not q_connected:
+            uf.add(r)
+        if eq4:
+            at_degree[0] += 1
+            low = 0
+        for u in indices[indptr[r]:indptr[r + 1]]:
             if member[u]:
                 if degree_in[u] == k - 1:
                     deficient -= 1
-                degree_in[u] += 1
-                degree_in[r] += 1
-                uf.union(r, u)
+                if eq4:
+                    bump(u)
+                    bump(r)
+                else:
+                    degree_in[u] += 1
+                    degree_in[r] += 1
+                if not q_connected:
+                    uf.union(r, u)
             else:
                 gain[u] += 1
                 if not in_heap[u]:
@@ -311,8 +340,9 @@ def _expand_flat(
         if degree_in[r] < k:
             deficient += 1
         if deficient == 0:
-            roots = {uf.find(x) for x in qrows}
-            if len(roots) == 1:
+            if not q_connected:
+                q_connected = len({uf.find(x) for x in qrows}) == 1
+            if q_connected:
                 candidates.append(frozenset(member_ids))
     return candidates
 
@@ -368,6 +398,7 @@ class LocalSearch:
         self.partial = False
         self.stats = SearchStats()
         self._all = frozenset(htk.vertices())
+        self._all_leaves = frozenset(gd.leaves_within(self._all))
         self._bound_memo: dict[tuple[int, frozenset[int]], bool] = {}
 
     def _checkpoint(self, stage: str) -> bool:
@@ -546,8 +577,7 @@ class LocalSearch:
         mutual_support = False
         if outside:
             # Corollary 2(1): deletion must start at an outside leaf of Gd.
-            all_leaves = set(self.gd.leaves_within(self._all))
-            if not (all_leaves & outside):
+            if not (self._all_leaves & outside):
                 return []
             analyzed = self._effective_tops(outside, members)
             if analyzed is None:
@@ -597,57 +627,58 @@ class LocalSearch:
         At a fixed weight w the MAC chain consists of the communities
         ``k-ĉore_Q({v : S(v) >= θ})`` for decreasing thresholds θ (every
         score-peeled vertex is gone once the global minimum passes its
-        score).  Sorting the vertices by score once and taking k-ĉores of
-        growing prefixes therefore reproduces the chain *bottom-up*,
-        without peeling — each probe costs O((n/step) · m) worst case but
-        stops after ``per_probe`` candidates, keeping the search local.
+        score).  The k-ĉores of growing score-ranked prefixes therefore
+        reproduce the chain *bottom-up*, without peeling.  Per probe
+        weight, one :func:`prefix_entry_sizes` sweep yields every prefix
+        k-core at once, and :func:`prefix_communities` walks the prefix
+        sizes from the smallest feasible one, stopping after
+        ``per_probe`` distinct communities.  A walk reads only the prefix
+        sets at the sizes it visits (and the one below its start), so a
+        probe whose ranking has the same prefix sets there as an earlier
+        probe's is skipped.  Both backends sweep the same row-sorted CSR
+        view.
         """
+        if not self.query_set <= self._all:
+            return []
+        fg = self.flat if self.flat is not None else search_flatgraph(
+            self.htk
+        )
+        qrows = fg.rows_of(self.query)
         probes = [self.region.pivot()]
         probes.extend(self.region.corners())
         out: list[frozenset[int]] = []
-        seen_rankings: set[tuple[int, ...]] = set()
-        for w in probes:
+        # (ranking, prefix sizes its walk depended on) per probe walked.
+        walks: list[tuple[np.ndarray, list[int]]] = []
+        for order in self.gd.rankings(probes, fg.ids):
             if self._checkpoint("local threshold probing"):
                 return out
-            ranked = sorted(
-                self._all,
-                key=lambda v: (-self.gd.score_at(v, w), v),
-            )
-            signature = tuple(ranked)
-            if signature in seen_rankings:
-                continue  # small regions often rank identically everywhere
-            seen_rankings.add(signature)
-
-            def core_of(size: int):
-                return self._kcore_members(ranked[:size])
-
-            # Existence of the prefix k-ĉore is monotone in the prefix
-            # size: binary-search the smallest feasible prefix, then walk
-            # upward collecting the chain communities bottom-up.
-            lo, hi = self.k + 1, len(ranked)
-            if core_of(hi) is None:
+            if any(
+                prefix_sets_agree(order, walked, sizes)
+                for walked, sizes in walks
+            ):
+                # Same communities, all already collected: small regions
+                # often rank (nearly) identically everywhere.
                 continue
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if core_of(mid) is None:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            entry = prefix_entry_sizes(fg, order, self.k)
             found = 0
-            previous: frozenset[int] | None = None
-            for size in range(lo, len(ranked) + step, step):
+            lo = end = fg.n + 1
+            for size, comp in prefix_communities(
+                fg, entry, qrows, self.k, step
+            ):
+                lo = min(lo, size)
+                fs = frozenset(fg.select_ids(comp))
+                if fs not in out:
+                    out.append(fs)
+                found += 1
+                if found >= per_probe:
+                    end = size
+                    break
                 if self._checkpoint("local threshold probing"):
                     return out
-                fs = core_of(min(size, len(ranked)))
-                if fs is None:
-                    continue
-                if fs != previous:
-                    previous = fs
-                    if fs not in out:
-                        out.append(fs)
-                    found += 1
-                    if found >= per_probe:
-                        break
+            # The walk read the prefix just below lo (infeasible) and
+            # every size it visited up to its end.
+            sizes = [lo - 1, *range(lo, min(end, fg.n) + step, step)]
+            walks.append((order, [min(s, fg.n) for s in sizes]))
         return out
 
     def search_nc(self) -> list[PartitionEntry]:

@@ -315,6 +315,50 @@ class DominanceGraph:
     def scores_at(self, w: np.ndarray, subset: Iterable[Vertex]) -> dict[Vertex, float]:
         return {v: self.score_at(v, w) for v in subset}
 
+    def rankings(
+        self, weights: Sequence[np.ndarray], vertices: Sequence[Vertex]
+    ) -> list[np.ndarray]:
+        """Per weight w, the permutation of ``vertices`` (ascending ids)
+        that equals ``sorted(vertices, key=(-score_at(v, w), v))``.
+
+        One matrix product scores every distinct attribute row at every
+        weight; a ``lexsort`` per weight ranks them.  The product may
+        round differently from :meth:`score_at`'s dot product, by at
+        most a few ulps of the row's magnitude, so rows whose product
+        scores lie within ``tol`` of a neighbor in rank take their exact
+        :meth:`score_at` value: every pair the product could misorder
+        is such a near tie, and exact values keep clear of every other
+        row.  Equal attribute rows always score equal, so only distinct
+        rows are scored.
+        """
+        n = len(vertices)
+        if n == 0 or not weights:
+            return [np.empty(0, np.int64) for _ in weights]
+        x = np.asarray([self._attrs[v] for v in vertices])
+        uniq, first, inverse = np.unique(
+            x, axis=0, return_index=True, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        tail = uniq[:, -1]
+        diff = uniq[:, :-1] - tail[:, None]
+        approx = tail[:, None] + diff @ np.asarray(weights, dtype=float).T
+        magnitude = float(np.abs(uniq).max())
+        eps = np.finfo(float).eps
+        rows = np.arange(n)
+        out = []
+        for p, w in enumerate(weights):
+            score = approx[:, p]
+            tol = 8 * x.shape[1] * eps * magnitude * (1 + 2 * np.abs(w).sum())
+            by_score = np.argsort(-score)
+            ranked = score[by_score]
+            near = np.flatnonzero(ranked[:-1] - ranked[1:] <= tol)
+            if near.size:
+                score = score.copy()
+                for u in np.union1d(by_score[near], by_score[near + 1]):
+                    score[u] = self.score_at(vertices[first[u]], w)
+            out.append(np.lexsort((rows, -score[inverse])))
+        return out
+
     def halfspace(self, u: Vertex, v: Vertex) -> Halfspace:
         """Cached half-space where ``S(u) >= S(v)`` (Section V-B caching)."""
         key = (u, v)

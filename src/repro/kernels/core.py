@@ -21,7 +21,14 @@ _EMPTY = np.empty(0, np.int64)
 def _gather_neighbors(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Concatenated neighbor rows of ``rows`` (ragged CSR gather)."""
+    """Concatenated neighbor rows of ``rows`` (ragged CSR gather).
+
+    A single row — most cascade and BFS steps on small cores — is a
+    plain slice (a read-only view: callers filter it into new arrays).
+    """
+    if rows.size == 1:
+        row = rows[0]
+        return indices[indptr[row]:indptr[row + 1]]
     offsets, _counts = ragged_offsets(indptr, rows)
     return indices[offsets]
 
@@ -71,19 +78,22 @@ def k_core_mask(
 
 
 def component_mask(
-    fg: FlatGraph, source_row: int, mask: np.ndarray | None = None
+    fg: FlatGraph,
+    source_row: int | np.ndarray,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows of the connected component of ``source_row`` (array BFS).
 
     ``mask`` restricts the traversal to an induced subgraph; the source
-    must lie inside it.
+    must lie inside it.  An array of distinct source rows (all inside
+    the mask) yields the union of their components.
     """
     n = fg.n
     seen = np.zeros(n, bool)
-    if mask is not None and not mask[source_row]:
+    frontier = np.atleast_1d(np.asarray(source_row, dtype=np.int64))
+    if mask is not None and not mask[frontier].all():
         return seen
-    seen[source_row] = True
-    frontier = np.asarray([source_row], dtype=np.int64)
+    seen[frontier] = True
     indptr, indices = fg.indptr, fg.indices
     # Scratch mask for per-level frontier dedup: marking + flatnonzero
     # is a linear scan, far cheaper than hashing every gathered edge

@@ -2,11 +2,12 @@
 
 PR 2 flattened the *index* stages (core decomposition, components,
 dominance); this module flattens the *search* loops — the cascade
-deletes, per-task peeling, k-ĉore probes and fixed-weight deletion
-chains that GS and LS run thousands of times per query.  Everything
-operates on int row arrays of a :class:`FlatGraph` with batch degree
-updates (one ragged gather + ``bincount`` per cascade round), mirroring
-the level-synchronous pattern of :func:`repro.kernels.core.core_numbers`.
+deletes, per-task peeling, k-ĉore probes, prefix k-core sweeps and
+fixed-weight deletion chains that GS and LS run thousands of times per
+query.  Everything operates on int row arrays of a :class:`FlatGraph`
+with batch degree updates (one ragged gather + ``bincount`` per cascade
+round), mirroring the level-synchronous pattern of
+:func:`repro.kernels.core.core_numbers`.
 
 Equivalence with the dict-based reference paths rests on two facts:
 
@@ -24,14 +25,14 @@ bit-identical across backends.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 import heapq
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.kernels.core import component_mask
+from repro.kernels.core import _gather_neighbors, component_mask
 from repro.kernels.flatgraph import FlatGraph, ragged_offsets
 
 _EMPTY = np.empty(0, np.int64)
@@ -54,8 +55,7 @@ def search_flatgraph(graph) -> FlatGraph:
 
 
 def _gather(fg: FlatGraph, rows: np.ndarray) -> np.ndarray:
-    offsets, _counts = ragged_offsets(fg.indptr, rows)
-    return fg.indices[offsets]
+    return _gather_neighbors(fg.indptr, fg.indices, rows)
 
 
 def alive_degrees(fg: FlatGraph, alive: np.ndarray) -> np.ndarray:
@@ -231,6 +231,131 @@ def k_core_containing_rows(
     if not all(comp[r] for r in query_rows):
         return None
     return comp
+
+
+def prefix_entry_sizes(
+    fg: FlatGraph, order: np.ndarray, k: int
+) -> np.ndarray:
+    """Entry size of every row into the k-cores of the ``order`` prefixes.
+
+    ``e[r]`` is the smallest s such that row r lies in the k-core of
+    ``fg[order[:s]]`` (``n + 1`` when no prefix's k-core holds it).
+    Prefix k-cores are nested, so the k-core of prefix s is exactly
+    ``e <= s`` — one sweep answers every prefix size at once.
+
+    r is in the k-core of prefix s iff it is in the prefix and has k
+    neighbors in that core, so ``e`` is the least fixpoint of
+    ``e[r] = max(pos[r], k-th smallest e over N(r))``.  The map is
+    monotone and ``pos`` lies below the fixpoint, so iterating upward
+    from ``e = pos`` reaches it; each round recomputes only the rows
+    next to a changed row, with one segmented sort for all of them.
+    """
+    n = fg.n
+    pos = np.empty(n, np.int64)
+    pos[order] = np.arange(1, n + 1)
+    if k <= 0:
+        return pos
+    never = n + 1
+    deg = np.diff(fg.indptr)
+    e = np.where(deg >= k, pos, never)
+    scratch = np.zeros(n, bool)
+    active = np.flatnonzero(deg >= k)
+    while active.size:
+        offsets, counts = ragged_offsets(fg.indptr, active)
+        # Row-major keys keep each row's segment in place when sorted.
+        base = np.arange(active.size, dtype=np.int64) * (never + 1)
+        keys = np.sort(np.repeat(base, counts) + e[fg.indices[offsets]])
+        kth = np.cumsum(counts) - counts + (k - 1)
+        value = np.maximum(pos[active], keys[kth] - base)
+        grown = value > e[active]
+        changed = active[grown]
+        if changed.size == 0:
+            break
+        e[changed] = value[grown]
+        nb = _gather(fg, changed)
+        scratch[nb[e[nb] < never]] = True
+        active = np.flatnonzero(scratch)
+        scratch[active] = False
+    return e
+
+
+def prefix_communities(
+    fg: FlatGraph,
+    entry: np.ndarray,
+    query_rows: list[int],
+    k: int,
+    step: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each new k-ĉore of Q along the prefix sizes ``lo, lo + step, ...``.
+
+    ``entry`` comes from :func:`prefix_entry_sizes`; the k-ĉore of
+    prefix s is Q's component of ``entry <= s``, and ``lo`` is the
+    smallest prefix where that component holds all of Q.  Feasibility
+    is monotone in s and changes only where the core grows, so ``lo`` is
+    the first size holding Q, or else a binary search over the later
+    growth sizes.  Past ``lo`` the component only grows, and only
+    through a row entering next to it: the walk BFSes from those rows
+    alone, and yields ``(size, row mask)`` whenever the component grew
+    (the caller must not mutate the mask).  Sizes past ``n`` clip to
+    ``n``.
+    """
+    n = fg.n
+
+    def q_component(size: int) -> np.ndarray | None:
+        comp = component_mask(fg, query_rows[0], entry <= size)
+        return comp if comp[query_rows].all() else None
+
+    lo = max(k + 1, int(entry[query_rows].max()))
+    if lo > n:
+        return
+    comp = q_component(lo)
+    if comp is None:
+        sizes = np.unique(entry[(entry > lo) & (entry <= n)])
+        comp = q_component(int(sizes[-1])) if sizes.size else None
+        if comp is None:
+            return
+        left, right = 0, sizes.size - 1
+        while left < right:
+            mid = (left + right) // 2
+            found = q_component(int(sizes[mid]))
+            if found is None:
+                left = mid + 1
+            else:
+                right, comp = mid, found
+        lo = int(sizes[left])
+    yield lo, comp
+    # Rows in entry order: those entering between two walk sizes are
+    # one slice of it.
+    by_entry = np.argsort(entry, kind="stable")
+    core_size = np.cumsum(np.bincount(entry, minlength=n + 2))
+    walked = lo
+    for size in range(lo + step, n + step, step):
+        size = min(size, n)
+        entered = by_entry[core_size[walked]:core_size[size]]
+        walked = size
+        if entered.size == 0:
+            continue
+        offsets, counts = ragged_offsets(fg.indptr, entered)
+        seeds = np.unique(
+            np.repeat(entered, counts)[comp[fg.indices[offsets]]]
+        )
+        if seeds.size:
+            comp = comp | component_mask(fg, seeds, (entry <= size) & ~comp)
+            yield size, comp
+
+
+def prefix_sets_agree(
+    order: np.ndarray, other: np.ndarray, sizes: Iterable[int]
+) -> bool:
+    """Do ``order[:s]`` and ``other[:s]`` hold the same rows for every s?
+
+    The prefix of size s is the same set exactly when the rows of
+    ``order[:s]`` all sit within the first s places of ``other``.
+    """
+    place = np.empty(other.size, np.int64)
+    place[other] = np.arange(other.size)
+    agree = np.maximum.accumulate(place[order]) == np.arange(order.size)
+    return all(s == 0 or agree[s - 1] for s in sizes)
 
 
 def deletion_chain_rows(
