@@ -93,6 +93,13 @@ class _PreparedFilter:
     filtered subgraph and the per-row coreness array, so every later
     (Q, k, t) core extraction reuses them instead of re-deriving flat
     state per k.
+
+    Invariant: a cached entry is immutable, ``filtered`` included.  A
+    live repair builds a new entry whose graph shares every adjacency
+    set but the two endpoints' with its predecessor
+    (:meth:`AdjacencyGraph.toggled`), so every consumer reads
+    ``filtered`` or derives from it with ``subgraph()``/``copy()``,
+    never mutates it in place.
     """
 
     query_distance: dict[int, float]
@@ -689,16 +696,13 @@ class MACEngine:
 
         The cached entry is never mutated in place — queries already
         holding it keep a consistent pre-mutation view; the repaired
-        copy replaces it in the cache.  The entry's own representation
+        copy replaces it in the cache, sharing every adjacency set but
+        the two endpoints' with it.  The entry's own representation
         is the backend seam: flat entries splice the CSR and run the
         row kernels of :mod:`repro.kernels.livecore`, python entries the
         dict reference of :mod:`repro.live.kcore`.
         """
-        filtered = prep.filtered.copy()
-        if inserted:
-            filtered.add_edge(u, v)
-        else:
-            filtered.remove_edge(u, v)
+        filtered = prep.filtered.toggled(u, v)
         coreness = dict(prep.coreness)
         if prep.flat is not None:
             ru, rv = prep.flat.row_of(u), prep.flat.row_of(v)

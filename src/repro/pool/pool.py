@@ -252,8 +252,11 @@ class WorkerPool:
         # Forking a worker while a live mutation is rewriting the parent
         # engine in place would copy a torn half-applied state into the
         # child; this lock makes fork and in-place apply mutually
-        # exclusive (held across Process.start() and across the parent
-        # apply in mutate_wire).
+        # exclusive.  A respawn holds it from reading the fingerprint
+        # through slot placement, a mutation from the parent apply
+        # through publishing its fingerprint and taking the broadcast
+        # list, so every child either inherits the mutated engine with
+        # its new fingerprint or is in a slot to receive the batch.
         self._fork_lock = threading.Lock()
         self._mutations = 0
         self._workers: list[_Worker | None] = [None] * num_workers
@@ -343,9 +346,12 @@ class WorkerPool:
     def _fork(
         self, slot: int, engine, fingerprint: str, generation: int, incarnation: int
     ) -> _Worker:
-        """Fork one worker process; the caller decides where it lives."""
+        """Fork one worker process; the caller decides where it lives.
+
+        The caller holds ``_fork_lock``.
+        """
         parent_conn, child_conn = self._ctx.Pipe()
-        with self._fork_lock, warnings.catch_warnings():
+        with warnings.catch_warnings():
             # Python 3.12+ warns on fork() from a multi-threaded
             # process.  Safe here by construction: the child touches
             # only the pre-fork engine — whose locks the parent is not
@@ -381,24 +387,25 @@ class WorkerPool:
 
     def _spawn(self, slot: int) -> None:
         """Fork a worker of the *current* generation into a fleet slot."""
-        with self._lock:
-            engine = self._engine
-            fingerprint = self._engine_fp
-            generation = self._generation
-            incarnation = self._incarnations[slot]
-            self._incarnations[slot] += 1
-        worker = self._fork(slot, engine, fingerprint, generation, incarnation)
-        with self._lock:
-            stale = (
-                self._stopping.is_set()
-                or slot >= self.num_workers
-                or (
-                    self._workers[slot] is not None
-                    and self._workers[slot].alive
+        with self._fork_lock:
+            with self._lock:
+                engine = self._engine
+                fingerprint = self._engine_fp
+                generation = self._generation
+                incarnation = self._incarnations[slot]
+                self._incarnations[slot] += 1
+            worker = self._fork(slot, engine, fingerprint, generation, incarnation)
+            with self._lock:
+                stale = (
+                    self._stopping.is_set()
+                    or slot >= self.num_workers
+                    or (
+                        self._workers[slot] is not None
+                        and self._workers[slot].alive
+                    )
                 )
-            )
-            if not stale:
-                self._workers[slot] = worker
+                if not stale:
+                    self._workers[slot] = worker
         if stale:
             # The slot was filled or retired while we forked (a swap,
             # shrink, or stop raced the respawn): discard quietly.
@@ -510,9 +517,10 @@ class WorkerPool:
                 with self._lock:
                     incarnation = self._incarnations[slot]
                     self._incarnations[slot] += 1
-                staged.append(
-                    self._fork(slot, engine, fingerprint, generation, incarnation)
-                )
+                with self._fork_lock:
+                    staged.append(
+                        self._fork(slot, engine, fingerprint, generation, incarnation)
+                    )
             self._await_ready(staged, self.start_timeout)
             if self._stopping.is_set():
                 raise ServiceError("the worker pool began stopping mid-swap")
@@ -593,11 +601,12 @@ class WorkerPool:
             staged: list[_Worker] = []
             try:
                 for slot in range(old_n, num_workers):
-                    staged.append(
-                        self._fork(
-                            slot, self._engine, self._engine_fp, self._generation, 0
+                    with self._fork_lock:
+                        staged.append(
+                            self._fork(
+                                slot, self._engine, self._engine_fp, self._generation, 0
+                            )
                         )
-                    )
                 self._await_ready(staged, self.start_timeout)
             except Exception as exc:
                 self._discard(staged)
@@ -681,17 +690,19 @@ class WorkerPool:
             raise ReloadError("cannot mutate: the worker pool is stopping")
         with self._fork_lock:
             # Parent first, and atomically with respect to respawn
-            # forks: a child must never copy a half-applied engine.
+            # forks: a child must never copy a half-applied engine, nor
+            # be labelled with, or miss the broadcast of, the wrong side
+            # of this batch.
             summary = self._engine.apply(mutations)
-        fingerprint = network_fingerprint(self._engine.network)
-        with self._lock:
-            self._engine_fp = fingerprint
-            self._mutations += 1
-            workers = [
-                w
-                for w in self._workers
-                if w is not None and w.alive and not w.retired and not w.stalled
-            ]
+            fingerprint = network_fingerprint(self._engine.network)
+            with self._lock:
+                self._engine_fp = fingerprint
+                self._mutations += 1
+                workers = [
+                    w
+                    for w in self._workers
+                    if w is not None and w.alive and not w.retired and not w.stalled
+                ]
         futures: dict[_Worker, Future] = {}
         for worker in workers:
             try:
@@ -782,8 +793,11 @@ class WorkerPool:
                     worker.last_tel = tel
         drained = terminated = 0
         for worker in workers:
-            worker.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if worker.process.is_alive():
+            # The exit sentinel, not join()/is_alive(): the supervisor
+            # may reap this child concurrently, and a child reaped by
+            # another thread can read as alive here.
+            remaining = max(0.1, deadline - time.monotonic())
+            if not _sentinel_wait([worker.process.sentinel], timeout=remaining):
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
                 if worker.process.is_alive():  # pragma: no cover
@@ -791,6 +805,7 @@ class WorkerPool:
                     worker.process.join(timeout=1.0)
                 terminated += 1
             else:
+                worker.process.join(timeout=1.0)  # reap; returns at once
                 drained += 1
             if worker.receiver is not None:
                 # Let the receive thread drain any replies still

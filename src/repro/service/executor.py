@@ -12,6 +12,7 @@ module, the default) or a multi-process worker tier
 
 from __future__ import annotations
 
+import threading
 import time
 
 from repro.engine.request import MACRequest
@@ -44,6 +45,11 @@ class EngineExecutor:
     ) -> None:
         self.engine = engine
         self._fingerprint: str | None = None
+        # Bumped (and the cached digest dropped) after every content
+        # change; a digest is cached only if no bump overlapped its
+        # hashing, so a hash racing an apply is never kept.
+        self._content_epoch = 0
+        self._fingerprint_lock = threading.Lock()
         self._generation = 0
         self._source = source
         self._index_digest = index_digest
@@ -58,16 +64,27 @@ class EngineExecutor:
         return telemetry_to_wire(self.engine.telemetry())
 
     def fingerprint(self) -> str | None:
-        if self._fingerprint is None:
-            try:
-                from repro.store.fingerprint import network_fingerprint
+        with self._fingerprint_lock:
+            if self._fingerprint is not None:
+                return self._fingerprint
+            epoch = self._content_epoch
+        try:
+            from repro.store.fingerprint import network_fingerprint
 
-                self._fingerprint = network_fingerprint(self.engine.network)
-            except Exception:
-                # Duck-typed test engines need not carry a real network;
-                # the fingerprint is informational, never load-bearing.
-                return None
-        return self._fingerprint
+            fingerprint = network_fingerprint(self.engine.network)
+        except Exception:
+            # Duck-typed test engines need not carry a real network;
+            # the fingerprint is informational, never load-bearing.
+            return None
+        with self._fingerprint_lock:
+            if self._content_epoch == epoch:
+                self._fingerprint = fingerprint
+        return fingerprint
+
+    def _content_changed(self) -> None:
+        with self._fingerprint_lock:
+            self._content_epoch += 1
+            self._fingerprint = None
 
     def mutate_wire(self, mutations: list) -> dict:
         """Apply one live mutation batch to the engine, in place.
@@ -75,10 +92,12 @@ class EngineExecutor:
         The threads tier has a single shared engine, so one
         :meth:`~repro.engine.MACEngine.apply` call mutates what every
         slot serves.  The cached dataset fingerprint is dropped — the
-        network content just changed — and recomputed lazily.
+        network content just changed — and recomputed lazily; a hash
+        that overlapped the apply is returned to its caller but never
+        cached.
         """
         summary = self.engine.apply(mutations)
-        self._fingerprint = None
+        self._content_changed()
         return summary
 
     def snapshot_wire(self) -> dict:
@@ -124,7 +143,7 @@ class EngineExecutor:
                 f"reload of {path} rolled back, engine untouched: {exc}"
             ) from exc
         self.engine = engine
-        self._fingerprint = None
+        self._content_changed()
         self._generation += 1
         self._source = path
         self._index_digest = digest

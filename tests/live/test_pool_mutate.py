@@ -1,5 +1,10 @@
 """Fleet-wide mutation broadcast across the worker-process tier."""
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro import MACEngine, MACRequest, PreferenceRegion
@@ -96,3 +101,65 @@ class TestBroadcast:
             assert summary["fingerprint"] == network_fingerprint(
                 make_network()
             )
+
+
+class TestRespawnRace:
+    def test_respawn_held_between_fork_and_slot_gets_the_batch(self):
+        """A respawn forked before a mutation and placed in its slot
+        after it must still serve post-mutation content and report the
+        post-mutation fingerprint: fork + placement and apply + the
+        broadcast list are one critical section each."""
+        with WorkerPool(MACEngine(make_network()), 2) as pool:
+            request = make_request()
+            victim = pool.route_for(request)
+            forked = threading.Event()
+            gate = threading.Event()
+            real_fork = pool._fork
+
+            def held_fork(slot, *args):
+                worker = real_fork(slot, *args)
+                if slot == victim:
+                    forked.set()
+                    gate.wait(timeout=30)
+                return worker
+
+            pool._fork = held_fork
+            pid = pool.workers_wire()["workers"][victim]["pid"]
+            os.kill(pid, signal.SIGKILL)
+            assert forked.wait(timeout=30), "supervisor never respawned"
+
+            summaries = []
+            mutator = threading.Thread(
+                target=lambda: summaries.append(
+                    pool.mutate_wire([add_social_edge(1, 4)])
+                )
+            )
+            mutator.start()
+            time.sleep(0.3)  # let a racing mutation finish first, if it can
+            gate.set()
+            mutator.join(timeout=30)
+            assert summaries and summaries[0]["uniform"] is True
+            summary = summaries[0]
+
+            def mutate(network):
+                network.social.graph.add_edge(1, 4)
+
+            mutated = make_network(mutate)
+            assert summary["fingerprint"] == network_fingerprint(mutated)
+
+            def respawned() -> dict | None:
+                entry = pool.workers_wire()["workers"][victim]
+                alive = entry["alive"] and entry["pid"] not in (None, pid)
+                return entry if alive else None
+
+            deadline = time.monotonic() + 30
+            while respawned() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            entry = respawned()
+            assert entry is not None, "respawned worker never became ready"
+            assert entry["fingerprint"] == summary["fingerprint"]
+            expected = result_to_wire(MACEngine(mutated).search(request))
+            reply = pool.submit_op(
+                victim, "search", (request, time.monotonic())
+            ).result(timeout=30)
+            assert stable(reply) == stable(expected)
