@@ -17,12 +17,20 @@ filter/core/dominance state.  When the affinity target's queue is
 spills to the least-loaded worker — latency beats cache locality once a
 queue forms.  A dead target fails over the same way.
 
-**Supervision.**  A supervisor thread waits on the process sentinels.
-When a worker dies (crash, SIGKILL, OOM), only the requests in flight on
-that worker fail — typed :class:`~repro.errors.WorkerCrashed` — and a
-replacement is forked from the parent engine, with per-slot exponential
-backoff if a worker crash-loops at boot.  Requests on other workers are
-untouched; the pool never hangs on a dead process.
+**Supervision.**  Each worker has one state, ``STARTING → SERVING →
+DRAINING | STALLED → DEAD`` (``STARTING → DEAD`` for a failed start),
+changed only by :meth:`WorkerPool._transition`; each slot has one
+:class:`_Slot` record.  Every forked process is registered with the
+supervisor thread from fork until exit, and only that thread reaps: it
+records the exit code, moves the worker to ``DEAD``, fails the requests
+in flight on it with the one error its last state implies, and sets the
+worker's exit event.  Every other path only signals and waits on that
+event.  A dead serving worker fails them with
+:class:`~repro.errors.WorkerCrashed` and is refilled from the parent
+engine (with per-slot exponential backoff if it crash-loops at boot); a
+draining one with the reason its swap, shrink or stop recorded.
+Requests on other workers are untouched; nothing hangs on a dead
+process.
 
 **Stall watchdog.**  Process sentinels only see *dead* workers; a
 *wedged* one (infinite loop, stuck syscall) would silently blackhole
@@ -33,7 +41,8 @@ waits much past its own budget) and pings idle workers so a wedge is
 detected even without traffic.  A worker over budget is declared
 stalled, SIGKILLed, and refilled through the normal respawn path; only
 its in-flight requests fail, with the typed — and retryable —
-:class:`~repro.errors.WorkerStalled`.
+:class:`~repro.errors.WorkerStalled`.  A draining worker is bounded by
+its drain timeout instead.
 
 **Hedged dispatch.**  Searches are pure, so with ``hedge_after`` set a
 search still unanswered after that delay (or, with ``"auto"``, after an
@@ -68,6 +77,7 @@ rather than ever serving stale answers.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import multiprocessing
 import threading
@@ -77,6 +87,7 @@ import zlib
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures import wait as _future_wait
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _sentinel_wait
 
 from repro.engine import merge_telemetry
@@ -104,8 +115,46 @@ def _backoff_delay(fast_crashes: int) -> float:
     return min(0.05 * 2**fast_crashes, 2.0)
 
 
+def _identity(engine, fingerprint, generation: int, source, index_digest) -> dict:
+    """A reported snapshot identity (:meth:`WorkerPool.snapshot_wire`)."""
+    return {
+        "fingerprint": fingerprint,
+        "generation": generation,
+        "source": source,
+        "index_digest": index_digest,
+        "delta_seq": getattr(engine, "delta_seq", 0),
+    }
+
+
 class _PipeDied(Exception):
     """Internal: a send failed because the worker's pipe is gone."""
+
+
+class WorkerState(enum.Enum):
+    """Lifecycle of one worker process (see :data:`_EDGES`)."""
+
+    STARTING = "starting"  # forked; ready handshake not yet received
+    SERVING = "serving"  # handshake received; takes new work
+    DRAINING = "draining"  # retired by swap/shrink/stop; finishes its queue
+    STALLED = "stalled"  # wedged per the watchdog; SIGKILLed
+    DEAD = "dead"  # reaped by the supervisor and finalized
+
+
+STARTING, SERVING, DRAINING, STALLED, DEAD = WorkerState
+
+#: The legal transitions.  A retire or a watchdog verdict can reach a
+#: worker still in its boot window (a respawn not yet handshaken), so
+#: ``STARTING`` may skip ``SERVING``; nothing leaves ``DEAD``.
+_EDGES = {
+    STARTING: {SERVING, DRAINING, STALLED, DEAD},
+    SERVING: {DRAINING, STALLED, DEAD},
+    DRAINING: {DEAD},
+    STALLED: {DEAD},
+    DEAD: set(),
+}
+
+#: States that take new dispatch (a booting worker queues FIFO).
+_DISPATCHABLE = (STARTING, SERVING)
 
 
 class _Worker:
@@ -113,8 +162,10 @@ class _Worker:
 
     A worker belongs to a snapshot *generation* (bumped by every live
     swap) and is one *incarnation* of its slot (bumped by every fork
-    into that slot).  ``retired`` flips when the worker leaves the
-    dispatchable fleet (swap or shrink) and is thereafter only drained.
+    into that slot).  ``state`` changes only through
+    :meth:`WorkerPool._transition`; ``exit_code`` and ``exited`` are set
+    by the supervisor alone, once it has reaped and finalized the
+    process.
     """
 
     def __init__(
@@ -130,11 +181,11 @@ class _Worker:
         # req_id -> (op, watchdog budget or None, sent_at); parallel to
         # ``pending`` and maintained under the pool lock.
         self.op_meta: dict[int, tuple[str, float | None, float]] = {}
-        self.ready = threading.Event()
         self.info: dict = {}
-        self.alive = True
-        self.retired = False
-        self.stalled = False  # wedged per the watchdog; being killed
+        self.state = STARTING
+        self.drain_reason = ""  # why it was retired; its casualties' error
+        self.exit_code: int | None = None
+        self.exited = threading.Event()
         self.busy_since: float | None = None  # first unanswered send
         self.last_tel: dict | None = None
         self.started_at = time.monotonic()
@@ -145,6 +196,17 @@ class _Worker:
     @property
     def depth(self) -> int:
         return len(self.pending)
+
+
+@dataclass
+class _Slot:
+    """One fleet slot: its occupant and its restart bookkeeping."""
+
+    worker: _Worker | None = None
+    restarts: int = 0
+    incarnations: int = 0  # processes forked into this slot so far
+    fast_crashes: int = 0  # consecutive deaths within 1s of boot
+    respawn_at: float | None = None  # a replacement fork is due then
 
 
 class WorkerPool:
@@ -248,6 +310,7 @@ class WorkerPool:
         self._generation = 0
         self._active: dict | None = None  # reported identity; flips post-drain
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)  # any transition
         self._admin_lock = threading.Lock()  # serializes swap/resize/mutate
         # Forking a worker while a live mutation is rewriting the parent
         # engine in place would copy a torn half-applied state into the
@@ -259,18 +322,15 @@ class WorkerPool:
         # its new fingerprint or is in a slot to receive the batch.
         self._fork_lock = threading.Lock()
         self._mutations = 0
-        self._workers: list[_Worker | None] = [None] * num_workers
-        self._retiring: set[_Worker] = set()
+        self._slots = [_Slot() for _ in range(num_workers)]
+        # Every forked process not yet reaped — staged, serving,
+        # draining and discarded alike; the supervisor's watch list.
+        self._procs: set[_Worker] = set()
         self._req_ids = itertools.count(1)
         self._started = False
         self._stopping = threading.Event()
         self._supervisor: threading.Thread | None = None
-        self._restarts = [0] * num_workers
         self._retired_restarts = 0
-        self._incarnations = [0] * num_workers
-        self._fast_crashes = [0] * num_workers
-        self._backoff_until = [0.0] * num_workers
-        self._pending_respawn: set[int] = set()
         self._crashed_requests = 0
         self._stalled_workers = 0
         self._hedges = 0
@@ -305,13 +365,7 @@ class WorkerPool:
         provenance.  Flips atomically when a swap's drain completes —
         an observer never sees a half-flipped identity."""
         if self._active is None:
-            return {
-                "fingerprint": None,
-                "generation": 0,
-                "source": self._source,
-                "index_digest": self._index_digest,
-                "delta_seq": getattr(self._engine, "delta_seq", 0),
-            }
+            return _identity(self._engine, None, 0, self._source, self._index_digest)
         return dict(self._active)
 
     def start(self) -> WorkerPool:
@@ -321,35 +375,49 @@ class WorkerPool:
         self._started = True
         self._started_at = time.monotonic()
         self._engine_fp = network_fingerprint(self._engine.network)
-        for slot in range(self.num_workers):
-            self._spawn(slot)
-        try:
-            self._await_ready(
-                [w for w in self._workers if w is not None], self.start_timeout
-            )
-        except ServiceError:
-            self.stop()
-            raise
-        self._active = {
-            "fingerprint": self._engine_fp,
-            "generation": 0,
-            "source": self._source,
-            "index_digest": self._index_digest,
-            "delta_seq": getattr(self._engine, "delta_seq", 0),
-        }
+        # The supervisor runs first: it is the only reaper, including
+        # of a worker that dies before its handshake.
         self._supervisor = threading.Thread(
             target=self._supervise, name="mac-pool-supervisor", daemon=True
         )
         self._supervisor.start()
+        try:
+            staged = self._stage(
+                range(self.num_workers), self._engine, self._engine_fp, 0
+            )
+        except Exception:
+            self.stop()
+            raise
+        with self._lock:
+            for worker in staged:
+                self._slots[worker.slot].worker = worker
+        self._active = _identity(
+            self._engine, self._engine_fp, 0, self._source, self._index_digest
+        )
         return self
+
+    def _transition(self, worker: _Worker, new: WorkerState) -> None:
+        """Move ``worker`` to ``new``; the caller holds ``_lock``."""
+        if new not in _EDGES[worker.state]:
+            raise RuntimeError(
+                f"illegal worker transition {worker.state.name} -> {new.name} "
+                f"(worker {worker.slot})"
+            )
+        worker.state = new
+        self._changed.notify_all()
 
     def _fork(
         self, slot: int, engine, fingerprint: str, generation: int, incarnation: int
     ) -> _Worker:
-        """Fork one worker process; the caller decides where it lives.
+        """Fork one worker process and register it with the supervisor;
+        the caller decides where it lives.
 
-        The caller holds ``_fork_lock``.
+        The caller holds ``_fork_lock``, which the supervisor also takes
+        before it exits on stop: a fork either registers in time to be
+        reaped or sees the stop and refuses.
         """
+        if self._stopping.is_set():
+            raise ServiceError("the worker pool is stopping")
         parent_conn, child_conn = self._ctx.Pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork() from a multi-threaded
@@ -376,6 +444,8 @@ class WorkerPool:
             process.start()
         child_conn.close()
         worker = _Worker(slot, process, parent_conn, generation, incarnation)
+        with self._lock:
+            self._procs.add(worker)
         worker.receiver = threading.Thread(
             target=self._receive,
             args=(worker,),
@@ -385,64 +455,90 @@ class WorkerPool:
         worker.receiver.start()
         return worker
 
+    def _stage(self, slots, engine, fingerprint: str, generation: int) -> list:
+        """Fork workers for ``slots`` outside the fleet and wait for
+        their handshakes; on any failure discard them and re-raise."""
+        staged: list[_Worker] = []
+        try:
+            for slot in slots:
+                incarnation = self._next_incarnation(slot)
+                with self._fork_lock:
+                    staged.append(
+                        self._fork(slot, engine, fingerprint, generation, incarnation)
+                    )
+            self._await_ready(staged, self.start_timeout)
+            if self._stopping.is_set():
+                raise ServiceError("the worker pool began stopping")
+        except Exception:
+            self._terminate(staged)
+            raise
+        return staged
+
     def _spawn(self, slot: int) -> None:
-        """Fork a worker of the *current* generation into a fleet slot."""
+        """Fork a worker of the *current* generation into a fleet slot.
+
+        Runs on the supervisor thread, so it never waits for an exit: a
+        fork that lost its slot meanwhile is only signalled.
+        """
         with self._fork_lock:
             with self._lock:
-                engine = self._engine
-                fingerprint = self._engine_fp
+                engine, fingerprint = self._engine, self._engine_fp
                 generation = self._generation
-                incarnation = self._incarnations[slot]
-                self._incarnations[slot] += 1
-            worker = self._fork(slot, engine, fingerprint, generation, incarnation)
+            incarnation = self._next_incarnation(slot)
+            try:
+                worker = self._fork(slot, engine, fingerprint, generation, incarnation)
+            except ServiceError:
+                return  # the pool began stopping
             with self._lock:
-                stale = (
-                    self._stopping.is_set()
-                    or slot >= self.num_workers
-                    or (
-                        self._workers[slot] is not None
-                        and self._workers[slot].alive
-                    )
-                )
+                record = self._slots[slot] if slot < len(self._slots) else None
+                stale = self._stopping.is_set() or record is None
+                if record is not None and record.worker is not None:
+                    stale = stale or record.worker.state is not DEAD
                 if not stale:
-                    self._workers[slot] = worker
+                    record.worker = worker
         if stale:
             # The slot was filled or retired while we forked (a swap,
-            # shrink, or stop raced the respawn): discard quietly.
-            self._discard([worker])
+            # shrink, or stop raced the respawn): the reaper collects it.
+            worker.process.terminate()
+
+    def _next_incarnation(self, slot: int) -> int:
+        """Claim the next incarnation number of ``slot`` (0 if new)."""
+        with self._lock:
+            if slot >= len(self._slots):
+                return 0
+            self._slots[slot].incarnations += 1
+            return self._slots[slot].incarnations - 1
 
     def _await_ready(self, workers: list[_Worker], timeout: float) -> None:
         """Wait for ready handshakes, failing fast on a dead process."""
-        deadline = time.monotonic() + timeout
-        for worker in workers:
-            while not worker.ready.wait(timeout=0.05):
-                if not worker.process.is_alive():
-                    raise ServiceError(
-                        f"worker {worker.slot} (generation "
-                        f"{worker.generation}) died during start with exit "
-                        f"code {worker.process.exitcode}"
-                    )
-                if time.monotonic() > deadline:
+        with self._lock:
+            self._changed.wait_for(
+                lambda: all(w.state is not STARTING for w in workers), timeout
+            )
+            for worker in workers:
+                if worker.state is STARTING:
                     raise ServiceError(
                         f"worker {worker.slot} did not become ready within "
                         f"{timeout:g}s"
                     )
+                if worker.state is DEAD:
+                    raise ServiceError(
+                        f"worker {worker.slot} (generation "
+                        f"{worker.generation}) died during start with exit "
+                        f"code {worker.exit_code}"
+                    )
+                if worker.state is not SERVING:
+                    raise ServiceError(f"worker {worker.slot} was stopped during start")
 
-    def _discard(self, workers: list[_Worker]) -> None:
-        """Kill workers that never joined the fleet (rollback path)."""
+    def _terminate(self, workers: list[_Worker]) -> None:
+        """SIGTERM workers and wait for the supervisor to reap them,
+        escalating to SIGKILL for any that outlive a grace second."""
         for worker in workers:
-            worker.alive = False
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            if worker.process.is_alive():
-                worker.process.terminate()
+            worker.process.terminate()
         for worker in workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():  # pragma: no cover
+            if not worker.exited.wait(timeout=1.0):
                 worker.process.kill()
-                worker.process.join(timeout=1.0)
+                worker.exited.wait(timeout=1.0)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Drain and stop every worker; fail leftover in-flight requests.
@@ -454,10 +550,9 @@ class WorkerPool:
         """
         self._stopping.set()
         with self._lock:
-            workers = [
-                w for w in [*self._workers, *self._retiring] if w is not None
-            ]
-        self._drain(workers, timeout, reason="was stopped with the pool")
+            workers = list(self._procs)
+            self._retire(workers, "was stopped with the pool")
+        self._drain(workers, timeout)
         if self._supervisor is not None:
             self._supervisor.join(timeout=2.0)
             self._supervisor = None
@@ -493,71 +588,57 @@ class WorkerPool:
         snapshot identity (:meth:`snapshot_wire`) flip — also
         atomically.
         """
+        return self._admin(
+            "swap", self._swap_locked, engine, source, index_digest, drain_timeout
+        )
+
+    def _admin(self, verb: str, operation, *args) -> dict:
+        """Run one admin operation (swap, resize, mutate) exclusively."""
         if not self._started:
-            raise ReloadError("cannot swap: the worker pool is not started")
+            raise ReloadError(f"cannot {verb}: the worker pool is not started")
         if not self._admin_lock.acquire(blocking=False):
             raise ReloadError(
-                "another admin operation (swap or resize) is in progress; "
-                "retry when it completes"
+                "another admin operation (swap, resize, or mutate) is in "
+                "progress; retry when it completes"
             )
         try:
-            return self._swap_locked(engine, source, index_digest, drain_timeout)
+            if self._stopping.is_set():
+                raise ReloadError(f"cannot {verb}: the worker pool is stopping")
+            return operation(*args)
         finally:
             self._admin_lock.release()
 
     def _swap_locked(self, engine, source, index_digest, drain_timeout) -> dict:
         started = time.monotonic()
-        if self._stopping.is_set():
-            raise ReloadError("cannot swap: the worker pool is stopping")
         fingerprint = network_fingerprint(engine.network)
         generation = self._generation + 1
-        staged: list[_Worker] = []
         try:
-            for slot in range(self.num_workers):
-                with self._lock:
-                    incarnation = self._incarnations[slot]
-                    self._incarnations[slot] += 1
-                with self._fork_lock:
-                    staged.append(
-                        self._fork(slot, engine, fingerprint, generation, incarnation)
-                    )
-            self._await_ready(staged, self.start_timeout)
-            if self._stopping.is_set():
-                raise ServiceError("the worker pool began stopping mid-swap")
+            staged = self._stage(
+                range(self.num_workers), engine, fingerprint, generation
+            )
         except Exception as exc:
-            self._discard(staged)
             raise ReloadError(
                 f"snapshot swap to generation {generation} rolled back "
-                f"({len(staged)} staged worker(s) discarded, serving fleet "
-                f"untouched): {exc}"
+                f"(staged workers discarded, serving fleet untouched): {exc}"
             ) from exc
         # Install: from here on every new dispatch goes to the new
         # generation; the old one only finishes what it already holds.
         with self._lock:
-            retired = [w for w in self._workers if w is not None]
+            retired = [s.worker for s in self._slots if s.worker is not None]
             for worker in staged:
-                self._workers[worker.slot] = worker
+                record = self._slots[worker.slot]
+                record.worker = worker
+                record.respawn_at = None  # the staged worker fills it
             self._engine = engine
             self._engine_fp = fingerprint
             self._generation = generation
-            for worker in retired:
-                worker.retired = True
-                if worker.alive:
-                    self._retiring.add(worker)
+            self._retire(retired, "was retired by a live snapshot swap")
         drain = self._drain(
-            retired,
-            self.drain_timeout if drain_timeout is None else drain_timeout,
-            reason="was retired by a live snapshot swap",
+            retired, self.drain_timeout if drain_timeout is None else drain_timeout
         )
         # The reported identity flips only now — after the old
         # generation fully drained — and atomically (one dict swap).
-        self._active = {
-            "fingerprint": fingerprint,
-            "generation": generation,
-            "source": source,
-            "index_digest": index_digest,
-            "delta_seq": getattr(engine, "delta_seq", 0),
-        }
+        self._active = _identity(engine, fingerprint, generation, source, index_digest)
         return {
             "generation": generation,
             "fingerprint": fingerprint,
@@ -579,72 +660,39 @@ class WorkerPool:
         """
         if num_workers < 1:
             raise ServiceError(f"num_workers must be >= 1, got {num_workers}")
-        if not self._started:
-            raise ReloadError("cannot resize: the worker pool is not started")
-        if not self._admin_lock.acquire(blocking=False):
-            raise ReloadError(
-                "another admin operation (swap or resize) is in progress; "
-                "retry when it completes"
-            )
-        try:
-            return self._resize_locked(num_workers, drain_timeout)
-        finally:
-            self._admin_lock.release()
+        return self._admin("resize", self._resize_locked, num_workers, drain_timeout)
 
     def _resize_locked(self, num_workers: int, drain_timeout) -> dict:
         started = time.monotonic()
-        if self._stopping.is_set():
-            raise ReloadError("cannot resize: the worker pool is stopping")
         old_n = self.num_workers
         drain = {"drained": 0, "terminated": 0}
         if num_workers > old_n:
-            staged: list[_Worker] = []
             try:
-                for slot in range(old_n, num_workers):
-                    with self._fork_lock:
-                        staged.append(
-                            self._fork(
-                                slot, self._engine, self._engine_fp, self._generation, 0
-                            )
-                        )
-                self._await_ready(staged, self.start_timeout)
+                staged = self._stage(
+                    range(old_n, num_workers),
+                    self._engine,
+                    self._engine_fp,
+                    self._generation,
+                )
             except Exception as exc:
-                self._discard(staged)
                 raise ReloadError(
                     f"fleet grow {old_n} -> {num_workers} rolled back "
                     f"(fleet unchanged): {exc}"
                 ) from exc
-            grow = num_workers - old_n
             with self._lock:
-                self._workers.extend(staged)
-                self._restarts.extend([0] * grow)
-                self._incarnations.extend([1] * grow)
-                self._fast_crashes.extend([0] * grow)
-                self._backoff_until.extend([0.0] * grow)
+                self._slots.extend(_Slot(worker=w, incarnations=1) for w in staged)
                 self.num_workers = num_workers
         elif num_workers < old_n:
             with self._lock:
-                retired = [
-                    w for w in self._workers[num_workers:] if w is not None
-                ]
-                self._retired_restarts += sum(self._restarts[num_workers:])
-                self._workers = self._workers[:num_workers]
-                self._restarts = self._restarts[:num_workers]
-                self._incarnations = self._incarnations[:num_workers]
-                self._fast_crashes = self._fast_crashes[:num_workers]
-                self._backoff_until = self._backoff_until[:num_workers]
-                self._pending_respawn = {
-                    s for s in self._pending_respawn if s < num_workers
-                }
+                removed = self._slots[num_workers:]
+                retired = [s.worker for s in removed if s.worker is not None]
+                self._retired_restarts += sum(s.restarts for s in removed)
+                self._slots = self._slots[:num_workers]
                 self.num_workers = num_workers
-                for worker in retired:
-                    worker.retired = True
-                    if worker.alive:
-                        self._retiring.add(worker)
+                self._retire(retired, "was retired by a fleet shrink")
             drain = self._drain(
                 retired,
                 self.drain_timeout if drain_timeout is None else drain_timeout,
-                reason="was retired by a fleet shrink",
             )
         return {
             "workers": num_workers,
@@ -672,22 +720,10 @@ class WorkerPool:
         with the reported identity's ``fingerprint``/``delta_seq``
         advanced in one atomic flip.
         """
-        if not self._started:
-            raise ReloadError("cannot mutate: the worker pool is not started")
-        if not self._admin_lock.acquire(blocking=False):
-            raise ReloadError(
-                "another admin operation (swap, resize, or mutate) is in "
-                "progress; retry when it completes"
-            )
-        try:
-            return self._mutate_locked(mutations)
-        finally:
-            self._admin_lock.release()
+        return self._admin("mutate", self._mutate_locked, mutations)
 
     def _mutate_locked(self, mutations: list) -> dict:
         started = time.monotonic()
-        if self._stopping.is_set():
-            raise ReloadError("cannot mutate: the worker pool is stopping")
         with self._fork_lock:
             # Parent first, and atomically with respect to respawn
             # forks: a child must never copy a half-applied engine, nor
@@ -698,11 +734,7 @@ class WorkerPool:
             with self._lock:
                 self._engine_fp = fingerprint
                 self._mutations += 1
-                workers = [
-                    w
-                    for w in self._workers
-                    if w is not None and w.alive and not w.retired and not w.stalled
-                ]
+                workers = self._dispatchable()
         futures: dict[_Worker, Future] = {}
         for worker in workers:
             try:
@@ -730,16 +762,16 @@ class WorkerPool:
                 # this worker now serves the mutated content.
                 worker.info["fingerprint"] = fingerprint
         for worker in divergent:
-            # SIGKILL, never serve from divergence: the sentinel path
-            # fails its in-flight requests typed and the supervisor
-            # refills the slot from the mutated parent engine.
-            if worker.alive and worker.process.is_alive():
-                worker.process.kill()
+            # SIGKILL, never serve from divergence: the supervisor reaps
+            # it, fails its in-flight requests typed and refills the
+            # slot from the mutated parent engine.
+            worker.process.kill()
         if self._active is not None:
-            active = dict(self._active)
-            active["fingerprint"] = fingerprint
-            active["delta_seq"] = summary["delta_seq"]
-            self._active = active
+            self._active = {
+                **self._active,
+                "fingerprint": fingerprint,
+                "delta_seq": summary["delta_seq"],
+            }
         return {
             **summary,
             "fingerprint": fingerprint,
@@ -750,97 +782,106 @@ class WorkerPool:
             "elapsed_s": round(time.monotonic() - started, 3),
         }
 
-    def _drain(self, workers: list[_Worker], timeout: float, *, reason: str) -> dict:
-        """Gracefully retire workers: final telemetry poll, stop
-        sentinel, bounded join, terminate stragglers, finalize.
+    def _retire(self, workers: list[_Worker], reason: str) -> None:
+        """Move workers out of dispatch into ``DRAINING``; ``reason``
+        becomes their in-flight casualties' error.  Holds ``_lock``."""
+        for worker in workers:
+            if worker.state in _DISPATCHABLE:
+                worker.drain_reason = reason
+                self._transition(worker, DRAINING)
+
+    def _drain(self, workers: list[_Worker], timeout: float) -> dict:
+        """Gracefully stop retired workers: final telemetry poll, stop
+        sentinel, wait for the supervisor to reap each, terminate the
+        stragglers.
 
         The telemetry poll is submitted *before* the sentinel, so the
         FIFO pipe guarantees it reflects every request the worker ever
-        served; it becomes the worker's folded contribution to the
-        merged fleet counters (telemetry stays monotone across
-        generations).
+        served; the receive thread records the reply, and the reaper
+        folds it into the merged fleet counters (telemetry stays
+        monotone across generations).
         """
-        workers = [w for w in workers if w is not None]
-        tel_futures: dict[_Worker, Future] = {}
         for worker in workers:
-            if not worker.alive or worker.stalled:
-                # A stalled worker is not reading its pipe; its last
-                # collected snapshot stands.
-                continue
+            if worker.state is not DRAINING:
+                continue  # stalled or dead: not reading its pipe
             try:
-                tel_futures[worker] = self._submit(
-                    worker, "telemetry", None, allow_retired=True
-                )
-            except _PipeDied:
-                continue
-        for worker in workers:
-            if not worker.alive:
-                continue
-            try:
+                self._submit(worker, "telemetry", None, allow_retired=True)
                 with worker.send_lock:
                     worker.conn.send(None)
-            except (OSError, ValueError):
+            except (_PipeDied, OSError, ValueError):
                 pass
         deadline = time.monotonic() + timeout
-        for worker, future in tel_futures.items():
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                tel = future.result(timeout=remaining)
-            except Exception:
-                continue  # crashed or wedged: its last snapshot stands
-            with self._lock:
-                if worker.alive:
-                    worker.last_tel = tel
-        drained = terminated = 0
-        for worker in workers:
-            # The exit sentinel, not join()/is_alive(): the supervisor
-            # may reap this child concurrently, and a child reaped by
-            # another thread can read as alive here.
-            remaining = max(0.1, deadline - time.monotonic())
-            if not _sentinel_wait([worker.process.sentinel], timeout=remaining):
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-                if worker.process.is_alive():  # pragma: no cover
-                    worker.process.kill()
-                    worker.process.join(timeout=1.0)
-                terminated += 1
-            else:
-                worker.process.join(timeout=1.0)  # reap; returns at once
-                drained += 1
-            if worker.receiver is not None:
-                # Let the receive thread drain any replies still
-                # buffered in the dead worker's pipe (it exits on EOF)
-                # before failing what genuinely never answered.
-                worker.receiver.join(timeout=1.0)
-            self._finalize(
-                worker,
-                WorkerCrashed(
-                    f"worker {worker.slot} {reason} with this request still "
-                    f"in flight; a retry is safe"
-                ),
-            )
-        return {"drained": drained, "terminated": terminated}
+        stragglers = [
+            w
+            for w in workers
+            if not w.exited.wait(timeout=max(0.1, deadline - time.monotonic()))
+        ]
+        self._terminate(stragglers)
+        return {
+            "drained": len(workers) - len(stragglers),
+            "terminated": len(stragglers),
+        }
 
-    def _finalize(self, worker: _Worker, error: WorkerCrashed) -> bool:
-        """Idempotently mark a worker dead: fail its pending requests
-        with ``error``, fold its last telemetry into the retired
-        totals, close its pipe.  Returns whether it still held a fleet
-        slot (i.e. whether the caller should consider a respawn)."""
+    def _death_error(self, worker: _Worker) -> WorkerCrashed:
+        """The one error a dead worker's in-flight requests get, decided
+        by the state it died in."""
+        pid = worker.info.get("pid", worker.process.pid)
+        if worker.state is STALLED:
+            return WorkerStalled(
+                f"worker {worker.slot} (pid {pid}) stopped replying for "
+                f"longer than its stall budget and was killed by the "
+                f"watchdog with this request in flight; the supervisor is "
+                f"refilling the slot — a retry is safe"
+            )
+        if worker.state is DRAINING:
+            return WorkerCrashed(
+                f"worker {worker.slot} {worker.drain_reason} with this "
+                f"request still in flight; a retry is safe"
+            )
+        return WorkerCrashed(
+            f"worker {worker.slot} (pid {pid}) died with exit code "
+            f"{worker.exit_code} while the request was in flight; the "
+            f"supervisor is restarting it — a retry is safe"
+        )
+
+    def _finalize(self, worker: _Worker) -> None:
+        """Move a reaped worker to ``DEAD``: fail its pending requests
+        with the error of the state it died in, fold its last telemetry
+        into the retired totals, schedule a replacement fork (with
+        crash-loop backoff) if it still held a fleet slot, close its
+        pipe."""
+        now = time.monotonic()
         with self._lock:
-            if not worker.alive:
-                return False
-            worker.alive = False
+            error = self._death_error(worker)
+            record = (
+                self._slots[worker.slot] if worker.slot < len(self._slots) else None
+            )
+            if (
+                record is not None
+                and record.worker is worker
+                and worker.state is not DRAINING
+                and not self._stopping.is_set()
+            ):
+                if now - worker.started_at < 1.0:
+                    # Crash loop (e.g. a poisoned engine): back off
+                    # exponentially instead of fork-bombing; a worker
+                    # that survived >= 1s resets the penalty.
+                    record.fast_crashes = min(
+                        record.fast_crashes + 1, _MAX_FAST_CRASHES
+                    )
+                    delay = _backoff_delay(record.fast_crashes)
+                else:
+                    record.fast_crashes = 0
+                    delay = 0.0
+                record.respawn_at = now + delay
+                record.restarts += 1
+            self._transition(worker, DEAD)
+            self._procs.discard(worker)
             pending = list(worker.pending.values())
             worker.pending.clear()
             worker.op_meta.clear()
             worker.busy_since = None
-            self._retiring.discard(worker)
-            in_slot = (
-                worker.slot < len(self._workers)
-                and self._workers[worker.slot] is worker
-            )
-            if pending:
-                self._crashed_requests += len(pending)
+            self._crashed_requests += len(pending)
             last_tel = worker.last_tel
             worker.last_tel = None
             if last_tel is not None:
@@ -861,7 +902,6 @@ class WorkerPool:
             worker.conn.close()
         except OSError:  # pragma: no cover
             pass
-        return in_slot
 
     # ------------------------------------------------------------------
     # receive / supervise
@@ -877,8 +917,10 @@ class WorkerPool:
                 # this thread): same meaning as the OSError path.
                 return
             if message[0] == "__ready__":
-                worker.info = message[1]
-                worker.ready.set()
+                with self._lock:
+                    worker.info = message[1]
+                    if worker.state is STARTING:
+                        self._transition(worker, SERVING)
                 continue
             req_id, ok, payload = message
             now = time.monotonic()
@@ -890,11 +932,10 @@ class WorkerPool:
                 # (or stops, if the queue just went idle).
                 worker.busy_since = now if worker.pending else None
                 if ok and meta is not None and meta[0] == "telemetry":
-                    # Recorded here (not just by the poller waiting on
-                    # the future) so a worker that answers its final
-                    # drain poll and exits has the fresh counters on it
-                    # by the time the post-receiver-join finalize folds
-                    # them — however the poller/supervisor race lands.
+                    # Recorded here, not by whoever polled, so a worker
+                    # that answers its final drain poll and exits has
+                    # the fresh counters on it when the reaper (which
+                    # joins this thread first) folds them.
                     worker.last_tel = payload
                 if ok and meta is not None and meta[0] == "search":
                     elapsed = now - meta[2]
@@ -913,22 +954,30 @@ class WorkerPool:
                 future.set_exception(error_from_wire(payload))
 
     def _supervise(self) -> None:
-        while not self._stopping.is_set():
-            self._respawn_due()
-            if self.stall_timeout is not None:
-                self._watchdog_check()
-                self._heartbeat()
+        """The reaper: runs from :meth:`start` until the pool is stopping
+        and no forked process is left unreaped."""
+        while True:
+            if self._stopping.is_set():
+                with self._fork_lock, self._lock:
+                    if not self._procs:
+                        return
+            else:
+                self._respawn_due()
+                if self.stall_timeout is not None:
+                    self._watchdog_check()
+                    self._heartbeat()
             with self._lock:
-                sentinels = {
-                    w.process.sentinel: w
-                    for w in [*self._workers, *self._retiring]
-                    if w is not None and w.alive
-                }
-            if not sentinels:
-                self._stopping.wait(0.1)
-                continue
+                sentinels = {w.process.sentinel: w for w in self._procs}
             for sentinel in _sentinel_wait(list(sentinels), timeout=0.1):
-                self._on_death(sentinels[sentinel])
+                self._reap(sentinels[sentinel])
+
+    def _dispatchable(self) -> list[_Worker]:
+        """Slot workers that take new work; the caller holds ``_lock``."""
+        return [
+            s.worker
+            for s in self._slots
+            if s.worker is not None and s.worker.state in _DISPATCHABLE
+        ]
 
     def _watchdog_check(self) -> None:
         """SIGKILL workers that have been busy past their stall budget.
@@ -938,20 +987,15 @@ class WorkerPool:
         (``stall_timeout``, deadline-clamped at submit time) since the
         worker last replied anything.  SIGKILL is the only lever that
         works on a process stuck in an infinite loop or a syscall; the
-        process sentinel then fires :meth:`_on_death`, which fails the
-        in-flight requests with :class:`WorkerStalled` and refills the
-        slot through the normal respawn path.
+        reaper then fails the in-flight requests of the ``STALLED``
+        worker with :class:`WorkerStalled` and refills the slot through
+        the normal respawn path.
         """
         now = time.monotonic()
         victims: list[_Worker] = []
         with self._lock:
-            for worker in [*self._workers, *self._retiring]:
-                if (
-                    worker is None
-                    or not worker.alive
-                    or worker.stalled
-                    or worker.busy_since is None
-                ):
+            for worker in self._dispatchable():
+                if worker.busy_since is None:
                     continue
                 oldest = next(iter(worker.pending), None)
                 meta = worker.op_meta.get(oldest) if oldest is not None else None
@@ -959,7 +1003,7 @@ class WorkerPool:
                 if meta is not None and meta[1] is not None:
                     budget = meta[1]
                 if now - worker.busy_since > budget:
-                    worker.stalled = True
+                    self._transition(worker, STALLED)
                     self._stalled_workers += 1
                     victims.append(worker)
         for worker in victims:
@@ -978,13 +1022,8 @@ class WorkerPool:
         with self._lock:
             idle = [
                 w
-                for w in self._workers
-                if w is not None
-                and w.alive
-                and not w.retired
-                and not w.stalled
-                and not w.pending
-                and now - w.last_ping >= self.stall_timeout / 2
+                for w in self._dispatchable()
+                if not w.pending and now - w.last_ping >= self.stall_timeout / 2
             ]
             for worker in idle:
                 worker.last_ping = now
@@ -994,10 +1033,16 @@ class WorkerPool:
             except _PipeDied:
                 pass
 
-    def _on_death(self, worker: _Worker) -> None:
-        """Fail the dead worker's in-flight requests; schedule a
-        replacement fork (with crash-loop backoff) if it held a slot."""
-        worker.process.join(timeout=1.0)
+    def _reap(self, worker: _Worker) -> None:
+        """Collect one exited child (the pool's only process ``join``),
+        then finalize it and set its exit event."""
+        worker.process.join()
+        while worker.process.exitcode is None:  # pragma: no cover
+            # ``Process.start()`` polls every known child, so a fork
+            # elsewhere in this process can win the waitpid; it stores
+            # the status on the same Popen an instant later.
+            time.sleep(0.001)
+        worker.exit_code = worker.process.exitcode
         # The sentinel can fire before the receive thread has drained
         # the pipe: a worker that replied and exited cleanly may still
         # look "in flight" here.  The dead process's pipe end is closed,
@@ -1006,64 +1051,20 @@ class WorkerPool:
         # synthetic crash error.
         if worker.receiver is not None:
             worker.receiver.join(timeout=1.0)
-        pid = worker.info.get("pid", worker.process.pid)
-        if worker.stalled:
-            error = WorkerStalled(
-                f"worker {worker.slot} (pid {pid}) stopped replying for "
-                f"longer than its stall budget and was killed by the "
-                f"watchdog with this request in flight; the supervisor is "
-                f"refilling the slot — a retry is safe"
-            )
-        elif worker.retired:
-            error = WorkerCrashed(
-                f"worker {worker.slot} (pid {pid}) died with exit code "
-                f"{worker.process.exitcode} while draining with this "
-                f"request in flight; a retry is safe"
-            )
-        else:
-            error = WorkerCrashed(
-                f"worker {worker.slot} (pid {pid}) died with exit code "
-                f"{worker.process.exitcode} while the request was in "
-                f"flight; the supervisor is restarting it — a retry is safe"
-            )
-        in_slot = self._finalize(worker, error)
-        if not in_slot or worker.retired or self._stopping.is_set():
-            return
-        slot = worker.slot
-        now = time.monotonic()
-        uptime = now - worker.started_at
-        with self._lock:
-            if slot >= self.num_workers:  # pragma: no cover - shrink raced us
-                return
-            if uptime < 1.0:
-                # Crash loop (e.g. a poisoned engine): back off
-                # exponentially instead of fork-bombing; a worker that
-                # survived >= 1s resets the penalty.
-                self._fast_crashes[slot] = min(
-                    self._fast_crashes[slot] + 1, _MAX_FAST_CRASHES
-                )
-                delay = _backoff_delay(self._fast_crashes[slot])
-            else:
-                self._fast_crashes[slot] = 0
-                delay = 0.0
-            self._backoff_until[slot] = now + delay
-            self._restarts[slot] += 1
-            self._pending_respawn.add(slot)
-        self._respawn_due()
+        self._finalize(worker)
+        worker.exited.set()
 
     def _respawn_due(self) -> None:
         """Fork replacements for slots whose backoff window has passed."""
-        if self._stopping.is_set():
-            return
         now = time.monotonic()
-        due: list[int] = []
         with self._lock:
-            for slot in sorted(self._pending_respawn):
-                if slot >= self.num_workers:
-                    self._pending_respawn.discard(slot)
-                elif self._backoff_until[slot] <= now:
-                    self._pending_respawn.discard(slot)
-                    due.append(slot)
+            due = [
+                slot
+                for slot, record in enumerate(self._slots)
+                if record.respawn_at is not None and record.respawn_at <= now
+            ]
+            for slot in due:
+                self._slots[slot].respawn_at = None
         for slot in due:
             self._spawn(slot)
 
@@ -1082,23 +1083,17 @@ class WorkerPool:
     def _choose(self, request: MACRequest) -> _Worker:
         affinity = self.route_for(request)
         with self._lock:
-            alive = [
-                w
-                for w in self._workers
-                if w is not None and w.alive and not w.stalled
-            ]
-            if not alive:
+            live = self._dispatchable()
+            if not live:
                 raise WorkerCrashed(
                     f"all {self.num_workers} worker process(es) are down; "
                     f"the supervisor is restarting them — retry shortly"
                 )
-            least = min(alive, key=lambda w: (w.depth, w.slot))
+            least = min(live, key=lambda w: (w.depth, w.slot))
             target = (
-                self._workers[affinity]
-                if affinity < len(self._workers)
-                else None
+                self._slots[affinity].worker if affinity < len(self._slots) else None
             )
-            if target is None or not target.alive or target.stalled:
+            if target is None or target.state not in _DISPATCHABLE:
                 self._dispatched["failover"] += 1
                 return least
             if target.depth >= self.spill_depth and least.depth < target.depth:
@@ -1120,9 +1115,8 @@ class WorkerPool:
                 # window: clamp to its own deadline (plus grace for the
                 # anytime path, which replies partial *at* the deadline).
                 budget = min(budget, deadline + _STALL_GRACE)
+        accepts = (*_DISPATCHABLE, DRAINING) if allow_retired else _DISPATCHABLE
         with self._lock:
-            if not worker.alive:
-                raise _PipeDied()
             worker.pending[req_id] = future
             worker.op_meta[req_id] = (op, budget, time.monotonic())
             if worker.busy_since is None:
@@ -1134,7 +1128,7 @@ class WorkerPool:
             # same lock, so an op observed as non-retired here is
             # guaranteed to be sent before the sentinel (FIFO: it will
             # be served, not silently dropped).
-            if not worker.alive or (worker.retired and not allow_retired):
+            if worker.state not in accepts:
                 stale = True
             else:
                 try:
@@ -1148,9 +1142,9 @@ class WorkerPool:
                 if not worker.pending:
                     worker.busy_since = None
             if died:
-                # The pipe died under us: handle the crash immediately
-                # instead of waiting for the supervisor's sentinel pass.
-                self._on_death(worker)
+                # The pipe died with its process: give the supervisor a
+                # moment to reap it, so the re-route skips this worker.
+                worker.exited.wait(timeout=1.0)
             raise _PipeDied()
         return future
 
@@ -1175,10 +1169,8 @@ class WorkerPool:
         go through :meth:`search_wire`, which routes by affinity.
         """
         with self._lock:
-            worker = (
-                self._workers[slot] if 0 <= slot < len(self._workers) else None
-            )
-            if worker is None or not worker.alive:
+            worker = self._slots[slot].worker if 0 <= slot < len(self._slots) else None
+            if worker is None or worker.state is DEAD:
                 raise WorkerCrashed(f"worker {slot} is not running")
         try:
             return self._submit(worker, op, payload)
@@ -1214,15 +1206,7 @@ class WorkerPool:
         just keeps waiting on the primary.
         """
         with self._lock:
-            candidates = [
-                w
-                for w in self._workers
-                if w is not None
-                and w.alive
-                and not w.retired
-                and not w.stalled
-                and w is not primary
-            ]
+            candidates = [w for w in self._dispatchable() if w is not primary]
             if not candidates:
                 return None
             worker = min(candidates, key=lambda w: (w.depth, w.slot))
@@ -1294,56 +1278,54 @@ class WorkerPool:
         the current processes).
         """
         with self._lock:
-            workers = [
-                w
-                for w in [*self._workers, *self._retiring]
-                # A stalled worker would never answer the poll: skip it
-                # (its last snapshot is merged below) so the endpoint
-                # degrades instead of burning the whole timeout.
-                if w is not None and w.alive and not w.stalled
-            ]
-        futures: dict[_Worker, Future] = {}
+            # A stalled worker would never answer the poll: skip it (its
+            # last snapshot is merged below) so the endpoint degrades
+            # instead of burning the whole timeout.
+            workers = [w for w in self._procs if w.state is not STALLED]
+        futures: list[Future] = []
         for worker in workers:
             try:
-                futures[worker] = self._submit(
-                    worker, "telemetry", None, allow_retired=True
+                futures.append(
+                    self._submit(worker, "telemetry", None, allow_retired=True)
                 )
             except _PipeDied:
                 continue
-        deadline = time.monotonic() + timeout
-        for worker, future in futures.items():
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                tel = future.result(timeout=remaining)
-            except Exception:
-                continue  # busy or just crashed: merge its last snapshot
-            with self._lock:
-                if worker.alive:
-                    worker.last_tel = tel
+        # The receive thread records each reply on its worker; one that
+        # is busy past the timeout or just crashed keeps its last one.
+        _future_wait(futures, timeout=timeout)
         with self._lock:
             snapshots = [
                 telemetry_from_wire(w.last_tel)
-                for w in [*self._workers, *self._retiring]
-                if w is not None and w.last_tel is not None
+                for w in self._procs
+                if w.last_tel is not None
             ]
             if self._retired_tel is not None:
                 snapshots.append(self._retired_tel)
         return telemetry_to_wire(merge_telemetry(snapshots))
+
+    def _total_restarts(self) -> int:
+        """Restarts over the tier's lifetime; the caller holds ``_lock``."""
+        return sum(s.restarts for s in self._slots) + self._retired_restarts
+
+    def _draining(self) -> int:
+        """Retired workers not yet reaped; the caller holds ``_lock``."""
+        return sum(w.state is DRAINING for w in self._procs)
 
     def workers_wire(self) -> dict:
         """Liveness summary for ``/v1/healthz``: who is up, who restarted."""
         with self._lock:
             entries = []
             alive = 0
-            for slot, worker in enumerate(self._workers):
-                up = worker is not None and worker.alive
+            for slot, record in enumerate(self._slots):
+                worker = record.worker
+                up = worker is not None and worker.state is not DEAD
                 alive += 1 if up else 0
                 entries.append({
                     "worker": slot,
                     "alive": up,
-                    "stalled": bool(worker and worker.stalled),
+                    "stalled": worker is not None and worker.state is STALLED,
                     "pid": worker.info.get("pid") if worker else None,
-                    "restarts": self._restarts[slot],
+                    "restarts": record.restarts,
                     "generation": worker.generation if worker else None,
                     "fingerprint": (
                         worker.info.get("fingerprint") if worker else None
@@ -1352,9 +1334,9 @@ class WorkerPool:
             return {
                 "alive": alive,
                 "total": self.num_workers,
-                "restarts": sum(self._restarts) + self._retired_restarts,
+                "restarts": self._total_restarts(),
                 "generation": self._generation,
-                "draining": len(self._retiring),
+                "draining": self._draining(),
                 "stalled_workers": self._stalled_workers,
                 "workers": entries,
             }
@@ -1364,28 +1346,29 @@ class WorkerPool:
         now = time.monotonic()
         with self._lock:
             entries = []
-            for slot, worker in enumerate(self._workers):
-                backoff = max(0.0, self._backoff_until[slot] - now)
+            for slot, record in enumerate(self._slots):
+                worker = record.worker
+                backoff = max(0.0, (record.respawn_at or now) - now)
                 if worker is None:
                     entries.append({
                         "worker": slot,
                         "alive": False,
                         "stalled": False,
-                        "restarts": self._restarts[slot],
-                        "crash_loops": self._fast_crashes[slot],
+                        "restarts": record.restarts,
+                        "crash_loops": record.fast_crashes,
                         "restart_backoff_remaining": backoff,
                     })
                     continue
                 uptime = max(now - worker.started_at, 1e-9)
                 entries.append({
                     "worker": slot,
-                    "alive": worker.alive,
-                    "stalled": worker.stalled,
+                    "alive": worker.state is not DEAD,
+                    "stalled": worker.state is STALLED,
                     "pid": worker.info.get("pid"),
-                    "restarts": self._restarts[slot],
+                    "restarts": record.restarts,
                     "generation": worker.generation,
                     "incarnation": worker.incarnation,
-                    "crash_loops": self._fast_crashes[slot],
+                    "crash_loops": record.fast_crashes,
                     "restart_backoff_remaining": backoff,
                     "queue_depth": worker.depth,
                     "served": worker.served,
@@ -1395,9 +1378,9 @@ class WorkerPool:
             return {
                 "num_workers": self.num_workers,
                 "spill_depth": self.spill_depth,
-                "restarts": sum(self._restarts) + self._retired_restarts,
+                "restarts": self._total_restarts(),
                 "generation": self._generation,
-                "draining": len(self._retiring),
+                "draining": self._draining(),
                 "crashed_requests": self._crashed_requests,
                 "mutations": self._mutations,
                 "stall_timeout": self.stall_timeout,

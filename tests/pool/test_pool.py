@@ -195,7 +195,5 @@ class TestStop:
         hold = pool.submit_op(0, "sleep", 30.0)
         time.sleep(0.05)
         pool.stop(timeout=0.3)
-        # Either stop()'s own leftover pass or the supervisor's death
-        # handler wins the race; both surface typed.
-        with pytest.raises(WorkerCrashed):
+        with pytest.raises(WorkerCrashed, match="was stopped with the pool"):
             hold.result(timeout=30)

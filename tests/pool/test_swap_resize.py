@@ -139,7 +139,9 @@ class TestLiveSwap:
             # The sleeper could not drain in time: it was terminated and
             # its in-flight request failed typed — never silently lost.
             assert summary["terminated"] == 1
-            with pytest.raises(WorkerCrashed, match="retired|draining"):
+            with pytest.raises(
+                WorkerCrashed, match="was retired by a live snapshot swap"
+            ):
                 stuck.result(timeout=30)
             assert pool.search_wire(make_request())["partitions"]
 
@@ -174,6 +176,16 @@ class TestResize:
             summary = pool.resize(1)
             assert summary["drained"] == 1
             assert stuck.result(timeout=30) == {"slept": 0.4}
+
+    def test_in_flight_shrink_casualty_is_typed(self, engine):
+        with WorkerPool(engine, 2) as pool:
+            stuck = pool.submit_op(1, "sleep", 60.0)
+            summary = pool.resize(1, drain_timeout=0.3)
+            assert summary["terminated"] == 1
+            with pytest.raises(WorkerCrashed, match="was retired by a fleet shrink"):
+                stuck.result(timeout=30)
+            assert pool.workers_wire()["draining"] == 0
+            assert pool.search_wire(make_request())["partitions"]
 
     def test_resize_validates_num_workers(self, engine):
         with WorkerPool(engine, 1) as pool:

@@ -145,6 +145,10 @@ class TestPredictiveShedding:
     def test_idle_server_never_sheds_predictively(self):
         svc = MACService(MACEngine(make_network()), port=0, max_concurrency=2)
         with svc, ServiceClient(port=svc.port) as c:
+            # Warm the result cache first (``deadline`` is not part of
+            # the result key), so the tight-deadline call below is a
+            # cache hit and never races a cold search against 10ms.
+            c.search(make_request(algorithm="local", label="tight"))
             result = c.search(
                 make_request(algorithm="local", deadline=0.01, label="tight")
             )
