@@ -40,7 +40,7 @@ from repro.kernels.search import (
 from repro.core.peeling import (
     cascade_delete_recoverable,
     restore_removed,
-    restrict_to_query_component,
+    restrict_after_removal,
 )
 from repro.core.query import Community, PartitionEntry
 
@@ -58,7 +58,13 @@ class SearchStats:
 
 
 class GlobalSearch:
-    """Algorithm 1 over a prepared H^t_k and its r-dominance graph."""
+    """Algorithm 1 over a prepared H^t_k and its r-dominance graph.
+
+    ``htk`` must be connected and contain Q, as H^t_k (and the maximal
+    connected k-truss of the truss variant) is: both peel loops restrict
+    to Q's component incrementally, from the vertices each cascade
+    removed.
+    """
 
     def __init__(
         self,
@@ -291,8 +297,7 @@ class GlobalSearch:
                     resolved.add(key)
         return crossing
 
-    def _smallest_leaf(self, leaves: Iterable[int], cell: Cell) -> int:
-        w = cell.interior_point()
+    def _smallest_leaf(self, leaves: Iterable[int], w: np.ndarray) -> int:
         return min(leaves, key=lambda v: (self.gd.score_at(v, w), v))
 
     def _cascade(self, graph: AdjacencyGraph, trigger: int):
@@ -351,6 +356,7 @@ class GlobalSearch:
             mask = None  # flat backend: lazy alive mask + degree array
             deg = None
             dominated: set[tuple[int, int]] = set()
+            w = cell.interior_point()  # the cell is fixed within a task
             while True:
                 if self.deadline is not None:
                     if self.anytime:
@@ -361,7 +367,7 @@ class GlobalSearch:
                             break
                     else:
                         self.deadline.check("global search peeling")
-                u = self._smallest_leaf(leaves, cell)
+                u = self._smallest_leaf(leaves, w)
                 if self.refinement == "arrangement":
                     crossing = self._pairwise_crossing(
                         leaves, cell, dominated
@@ -427,8 +433,8 @@ class GlobalSearch:
                         results.append((cell, alive, batches))
                         restore_removed(graph, removed)
                         break
-                    dropped = restrict_to_query_component(
-                        graph, self.query
+                    dropped = restrict_after_removal(
+                        graph, self.query, removed
                     )
                     if dropped is None:
                         results.append((cell, alive, batches))

@@ -89,6 +89,69 @@ def restrict_to_query_component(
     return dropped
 
 
+def restrict_after_removal(
+    graph: AdjacencyGraph, query: Iterable[int], removed: Removal
+) -> set[int] | None:
+    """:func:`restrict_to_query_component` right after ``removed`` died.
+
+    The dict/set twin of
+    :func:`repro.kernels.search.restrict_rows_incremental`, for the
+    peeling loops' invariant: *before* the removal, ``graph`` plus the
+    removed vertices formed one connected component containing Q.  Any
+    component split off by the removal then holds a surviving
+    ex-neighbor of a removed vertex, so only those are classified.  An
+    early-exit BFS first re-verifies Q's connectivity; each ex-neighbor's
+    BFS then either reaches the known Q side (its explored part joins
+    that side) or exhausts, which is exactly a dropped component.
+
+    Same result and same mutation of ``graph`` as
+    :func:`restrict_to_query_component` under that invariant.
+    """
+    q = list(query)
+    if any(v not in graph for v in q):
+        return None
+    nbrs_of = graph.neighbors
+    touched = {u for _v, nbrs in removed for u in nbrs if u in graph}
+    if not touched:
+        return set()
+    qside = {q[0]}
+    missing = set(q) - qside
+    frontier = [q[0]]
+    while frontier and missing:
+        nxt = []
+        for v in frontier:
+            for u in nbrs_of(v):
+                if u not in qside:
+                    qside.add(u)
+                    missing.discard(u)
+                    nxt.append(u)
+        frontier = nxt
+    if missing:
+        return None
+    dropped: set[int] = set()
+    for a in touched:
+        if a in qside or a in dropped:
+            continue
+        comp = {a}
+        stack = [a]
+        hit = False
+        while stack and not hit:
+            for u in nbrs_of(stack.pop()):
+                if u in qside:
+                    hit = True
+                    break
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        if hit:
+            qside |= comp
+        else:
+            dropped |= comp
+    for v in dropped:
+        graph.remove_vertex(v)
+    return dropped
+
+
 def deletion_chain(
     graph: AdjacencyGraph,
     query: Iterable[int],

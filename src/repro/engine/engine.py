@@ -53,6 +53,7 @@ from repro.kernels import (
     resolve_backend,
     search_flatgraph,
 )
+from repro.kernels.backend import resolve_search_backend
 from repro.live.invalidate import (
     RepairDelta,
     attribute_dirty,
@@ -298,8 +299,10 @@ class MACEngine:
         ``MACRequest.backend`` as ``None``: ``"flat"`` runs the
         vectorized CSR kernels (``repro.kernels``), ``"python"`` the
         original per-vertex implementations, ``"auto"`` picks by social
-        network size.  Both produce identical results; the selector is
-        resolved once per request so all cache keys are canonical.
+        network size (the global search by |H^t_k|, see
+        :func:`~repro.kernels.backend.resolve_search_backend`).  Both
+        produce identical results; the selector is resolved once per
+        request so all cache keys are canonical.
     eager:
         Build the G-tree at construction time (only when the resolved
         default strategy uses it) instead of on first use.
@@ -767,13 +770,25 @@ class MACEngine:
         """
         return resolve_backend(selector, self.network.social.num_users)
 
+    def _backend_selector(self, request: MACRequest) -> str:
+        if request.backend is not None:
+            return request.backend
+        return self._default_backend
+
     def _resolve_backend(self, request: MACRequest) -> str:
-        selector = (
-            request.backend
-            if request.backend is not None
-            else self._default_backend
+        return self._resolve_backend_selector(self._backend_selector(request))
+
+    def _search_backend(
+        self, request: MACRequest, algorithm: str, htk_vertices: int
+    ) -> str:
+        """The loop a searcher runs on: the one rule that both
+        :meth:`_execute` and :meth:`explain` report."""
+        return resolve_search_backend(
+            self._backend_selector(request),
+            algorithm,
+            htk_vertices,
+            self._resolve_backend(request),
         )
-        return self._resolve_backend_selector(selector)
 
     def _prepared_filter(
         self,
@@ -792,14 +807,9 @@ class MACEngine:
             # lets bounded Dijkstra apply its own per-kernel rule (flat
             # measures slower there), while the resolved ``backend``
             # governs the social kernels below and the cache keys.
-            selector = (
-                request.backend
-                if request.backend is not None
-                else self._default_backend
-            )
             dq = self.network.query_distance_filter(
                 request.query, request.t,
-                use_gtree=use_gtree, backend=selector,
+                use_gtree=use_gtree, backend=self._backend_selector(request),
             )
             filtered = self.network.social.graph.subgraph(dq)
             flat = core_rows = None
@@ -955,11 +965,11 @@ class MACEngine:
         algorithm: str,
         core_state: _PreparedCore,
         gd: DominanceGraph,
-        backend: str,
+        search_backend: str,
         deadline: Deadline | None = None,
     ) -> tuple[list[PartitionEntry], SearchStats, bool]:
         core = core_state.core
-        flat = self._search_flat(core_state) if backend == "flat" else None
+        flat = self._search_flat(core_state) if search_backend == "flat" else None
         anytime = request.anytime and deadline is not None
         if algorithm == "global":
             searcher = GlobalSearch(
@@ -1142,9 +1152,12 @@ class MACEngine:
             # expired budget it drains immediately into a best-so-far
             # (H^t_k fallback) answer instead of raising here.
             deadline.check("search")
+        search_backend = self._search_backend(
+            request, algorithm, core_state.core.num_vertices
+        )
         search_start = time.perf_counter()
         partitions, stats, partial = self._run_searcher(
-            request, algorithm, core_state, gd, backend, deadline
+            request, algorithm, core_state, gd, search_backend, deadline
         )
         search_s = time.perf_counter() - search_start
         times["search"] = search_s
@@ -1170,6 +1183,7 @@ class MACEngine:
         result.extra["engine"] = self._telemetry_entry(
             request, algorithm, use_gtree, backend, tel_cache, times,
             prepare_s=prepare_s, search_s=search_s,
+            search_backend=search_backend,
         )
         return result
 
@@ -1183,6 +1197,7 @@ class MACEngine:
         times: dict[str, float],
         prepare_s: float,
         search_s: float,
+        search_backend: str = "none",
     ) -> dict:
         timings = {"prepare": prepare_s, "search": search_s}
         # Per-stage build cost of this request (0.0 = served from cache).
@@ -1193,6 +1208,7 @@ class MACEngine:
             "algorithm": algorithm,
             "filter_strategy": "gtree" if use_gtree else "dijkstra",
             "backend": backend,
+            "search_backend": search_backend,
             "cache": dict(tel_cache),
             "timings": timings,
         }
@@ -1344,15 +1360,25 @@ class MACEngine:
             searcher = "none"
         else:
             searcher = SEARCHER_NAMES[(algorithm, request.problem)]
-        if algorithm == "local":
-            search_backend = backend
-            frontier = f"push-{request.strategy}"
-        elif algorithm == "global":
-            search_backend = backend
-            frontier = f"peel-{request.refinement}"
+        if algorithm == "none":
+            search_backend = frontier = "none"
         else:
-            search_backend = "none"
-            frontier = "none"
+            frontier = (
+                f"push-{request.strategy}"
+                if algorithm == "local"
+                else f"peel-{request.refinement}"
+            )
+            size = htk_vertices if known_exact else upper
+            search_backend = self._search_backend(request, algorithm, size)
+            if not known_exact and search_backend != self._search_backend(
+                request, algorithm, 0
+            ):
+                # The rule is monotone in |H^t_k|: the choice is settled
+                # only when the empty core and the bound agree.
+                notes.append(
+                    "search backend is provisional until H^t_k is "
+                    "materialized"
+                )
         with self._counter_lock:
             stage_seconds = dict(self._stage_seconds)
         return QueryPlan(

@@ -136,6 +136,9 @@ class TestExplainSearchPlan:
         assert plan.search_backend in ("flat", "python")
         assert plan.frontier == "peel-envelope"
         assert f"backend={plan.search_backend}" in plan.summary()
+        warm = request(paper_region, refinement="envelope")
+        ran = engine.search(warm).extra["engine"]["search_backend"]
+        assert engine.explain(warm).search_backend == ran
         local = engine.explain(request(
             paper_region, algorithm="local", strategy="eq4",
         ))
