@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+import repro.kernels.backend as paths
 from repro import MACEngine, MACRequest, PreferenceRegion, datasets
 from repro.errors import DatasetError, QueryError
 
@@ -58,6 +61,23 @@ RESULTS_DIR = Path(__file__).parent / "results"
 _dataset_cache: dict = {}
 _query_cache: dict = {}
 _engine_cache: dict = {}
+
+
+@contextmanager
+def forced_path(side: str):
+    """Force every size rule of ``repro.kernels.backend`` to ``side``.
+
+    ``"flat"`` or ``"python"``: inside the block every input sits on
+    that side of each rule (stage kernels, G-tree, search loops), which
+    is how the python-vs-flat benchmarks time both paths of one build.
+    """
+    saved = (paths.FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE)
+    threshold = {"flat": 0, "python": sys.maxsize}[side]
+    paths.FLAT_MIN_VERTICES = paths.GS_FLAT_MIN_CORE = threshold
+    try:
+        yield
+    finally:
+        paths.FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE = saved
 
 
 def t_values_for(ds) -> tuple[float, ...]:

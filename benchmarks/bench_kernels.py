@@ -1,23 +1,26 @@
-"""Kernel micro-benchmark: ``backend="python"`` vs ``backend="flat"``.
+"""Kernel micro-benchmark: the python path vs the flat path.
 
-Times the three hot kernels of the reproduction on the largest bundled
+Times the hot kernels of the reproduction on the largest bundled
 dataset (fl+yelp) and emits ``BENCH_kernels.json`` with speedup ratios
-— the per-kernel perf trajectory the engine's backend choice rests on:
+— the per-kernel perf trajectory the size rules of
+``repro.kernels.backend`` rest on:
 
 * **core decomposition** — batch peeling over CSR arrays vs the
   position-swap Batagelj–Zaversnik bucket walk.  Reported one-shot
-  (CSR conversion included, how ``core_decomposition(backend="flat")``
-  pays it) and prepared (conversion amortized, how the engine's cached
-  filter stage pays it).
-* **bounded Dijkstra** — flat distance table + list-indexed adjacency
-  vs the dict-keyed heap loop, over vertex and mid-edge sources.
+  (CSR conversion included, how ``core_decomposition`` pays it on a
+  large graph) and prepared (conversion amortized, how the engine's
+  cached filter stage pays it).
 * **dominance graph** — one (n, p) corner-score matrix with vectorized
-  dominator detection vs the per-vertex pairwise reference.
+  dominator detection vs the per-vertex pairwise reference
+  (``tests/oracles/dominance.py``).
 
 Each timing is best-of-``repeats``; every measured pair is also checked
 for result equivalence.  ``--quick`` shrinks the dataset and drops the
-speedup assertions (CI smoke); the default run asserts the flat backend
+speedup assertions (CI smoke); the default run asserts the flat path
 is >= 3x on prepared core decomposition and dominance construction.
+
+Run from this directory: ``PYTHONPATH=../src python bench_kernels.py``
+(the repository root is put on ``sys.path`` for the oracle import).
 """
 
 from __future__ import annotations
@@ -29,17 +32,17 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro import datasets
 from repro.dominance.graph import DominanceGraph
 from repro.geometry.region import PreferenceRegion
-from repro.graph.core import core_decomposition
+from repro.graph.core import _core_decomposition_python
 from repro.kernels import FlatGraph, core_numbers
-from repro.road.dijkstra import bounded_dijkstra
-from repro.road.network import SpatialPoint
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from tests.oracles.dominance import ReferenceDominanceGraph  # noqa: E402
+
+OUTPUT = ROOT / "BENCH_kernels.json"
 
 #: fl+yelp is the largest bundled pairing (Table II's biggest shapes).
 DATASET = "fl+yelp"
@@ -51,13 +54,12 @@ MIN_SPEEDUP = 3.0
 #: CI perf-trajectory floors (see benchmarks/check_trajectory.py, which
 #: fails a run measuring below ``floor * (1 - tolerance)``).  Quick mode
 #: runs at scale 0.15, where the flat graph kernels sit *below* their
-#: auto-flip threshold — their honest quick floor is break-even-ish,
+#: flat-path threshold — their honest quick floor is break-even-ish,
 #: while the dominance matrix path and the snapshot warm start stay
 #: decisively ahead at any scale.  Values are ~half the speedups
 #: measured on a dev laptop, leaving headroom for slower CI runners.
 QUICK_FLOORS = {
     "core_decomposition": 0.5,
-    "bounded_dijkstra": 0.5,
     "dominance_graph": 10.0,
     "snapshot_warm_start": 1.5,
 }
@@ -72,18 +74,19 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+def flat_core_decomposition(graph) -> dict:
+    """The flat path of ``core_decomposition``, whatever the graph size."""
+    fg = FlatGraph.from_adjacency(graph)
+    return fg.relabel(core_numbers(fg))
+
+
 def bench_core(ds, repeats: int) -> dict:
     graph = ds.network.social.graph
-    python_s = best_of(
-        lambda: core_decomposition(graph, backend="python"), repeats
-    )
-    one_shot_s = best_of(
-        lambda: core_decomposition(graph, backend="flat"), repeats
-    )
+    python_s = best_of(lambda: _core_decomposition_python(graph), repeats)
+    one_shot_s = best_of(lambda: flat_core_decomposition(graph), repeats)
     fg = FlatGraph.from_adjacency(graph)
     prepared_s = best_of(lambda: core_numbers(fg), repeats)
-    assert core_decomposition(graph, backend="flat") == \
-        core_decomposition(graph, backend="python")
+    assert flat_core_decomposition(graph) == _core_decomposition_python(graph)
     return {
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,
@@ -95,41 +98,6 @@ def bench_core(ds, repeats: int) -> dict:
     }
 
 
-def bench_dijkstra(ds, repeats: int) -> dict:
-    road = ds.network.road
-    rng = np.random.default_rng(7)
-    verts = sorted(road.vertices())
-    sources: list = [int(v) for v in rng.choice(verts, size=4)]
-    u = sources[0]
-    v = next(iter(road.neighbors(u)))
-    sources.append(SpatialPoint.on_edge(u, v, road.weight(u, v) / 2))
-    bound = float(ds.default_t) * 2
-
-    def run(backend: str):
-        for src in sources:
-            bounded_dijkstra(road, src, bound, backend=backend)
-
-    road.flat()  # prepared: the engine builds the CSR view once
-    python_s = best_of(lambda: run("python"), repeats)
-    flat_s = best_of(lambda: run("flat"), repeats)
-    for src in sources:
-        a = bounded_dijkstra(road, src, bound, backend="flat")
-        b = bounded_dijkstra(road, src, bound, backend="python")
-        assert set(a) == set(b)
-        assert all(
-            math.isclose(a[v], b[v], rel_tol=1e-9, abs_tol=1e-9) for v in a
-        )
-    return {
-        "vertices": road.num_vertices,
-        "edges": road.num_edges,
-        "sources": len(sources),
-        "bound": bound,
-        "python_s": python_s,
-        "flat_s": flat_s,
-        "speedup": python_s / flat_s,
-    }
-
-
 def bench_dominance(ds, repeats: int, num_vertices: int) -> dict:
     social = ds.network.social
     members = sorted(social.graph.vertices())[:num_vertices]
@@ -137,13 +105,11 @@ def bench_dominance(ds, repeats: int, num_vertices: int) -> dict:
     d = social.dimensionality
     region = PreferenceRegion.centered([0.9 / d] * (d - 1), 0.01)
     python_s = best_of(
-        lambda: DominanceGraph(attrs, region, backend="python"), repeats
+        lambda: ReferenceDominanceGraph(attrs, region), repeats
     )
-    flat_s = best_of(
-        lambda: DominanceGraph(attrs, region, backend="flat"), repeats
-    )
-    flat = DominanceGraph(attrs, region, backend="flat")
-    python = DominanceGraph(attrs, region, backend="python")
+    flat_s = best_of(lambda: DominanceGraph(attrs, region), repeats)
+    flat = DominanceGraph(attrs, region)
+    python = ReferenceDominanceGraph(attrs, region)
     assert flat.order == python.order and flat.parents == python.parents
     return {
         "vertices": len(members),
@@ -184,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         "quick_floors": QUICK_FLOORS,
         "kernels": {
             "core_decomposition": bench_core(ds, repeats),
-            "bounded_dijkstra": bench_dijkstra(ds, repeats),
             "dominance_graph": bench_dominance(ds, repeats, gd_vertices),
         },
     }

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import MACEngine, MACRequest, PreferenceRegion, datasets
-from repro.graph.core import core_decomposition
+from repro.graph.core import _core_decomposition_python
 from repro.kernels import FlatGraph, core_numbers
 from repro.kernels.livecore import (
     delete_edge_rows,
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     # python-reference cross-check on a small prefix of the same walk:
     # the dict repair and the row kernels must tell the same story
     graph = ds.network.social.graph
-    assert core_decomposition(graph, backend="python") == \
+    assert _core_decomposition_python(graph) == \
         FlatGraph.from_adjacency(graph).relabel(
             core_numbers(FlatGraph.from_adjacency(graph))
         )

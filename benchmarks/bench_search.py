@@ -2,14 +2,14 @@
 
 Times the two search algorithms over *prepared* state (range filter,
 (k,t)-core, r-dominance graph all warmed outside the timed window, the
-``_harness.timed_search`` protocol) with the request's ``backend`` knob
-flipped, so the measured delta is exactly the flat-kernel rewrite of
-the hot loops: CSR cascade peeling + batch degree updates in the global
-search's deletion chains, and the array-backed push frontier in the
-local search's Expand.
+``_harness.timed_search`` protocol) with the search loop forced to each
+side (``_harness.forced_path``), so the measured delta is exactly the
+flat-kernel rewrite of the hot loops: CSR cascade peeling + batch
+degree updates in the global search's deletion chains, and the
+array-backed push frontier in the local search's Expand.
 
 Every measured pair is checked for result equivalence (same communities
-from both backends).  Emits ``BENCH_search.json`` with per-algorithm
+from both loops).  Emits ``BENCH_search.json`` with per-algorithm
 absolute warm milliseconds and speedups; the default run asserts the
 per-algorithm floors in ``MIN_SPEEDUP``, and the ``--quick`` ratios are
 floored by ``quick_floors`` in the committed ``BENCH_kernels.json`` (see
@@ -44,7 +44,7 @@ K = 3
 T = 1e9
 
 #: Default-run assertion floors, flat vs python.  LS threshold probing
-#: runs one shared entry-size sweep on both backends, so what is left
+#: runs one shared entry-size sweep on both loops, so what is left
 #: to LS's ratio is Expand and the Verify peels.
 MIN_SPEEDUP = {"search_global": 3.0, "search_local": 1.5}
 
@@ -70,29 +70,27 @@ def bench_algorithm(ds, queries, k, t, region, algorithm, problem, j,
     times = {"flat": 0.0, "python": 0.0}
     measured = 0
     for query in queries:
-        requests = {
-            backend: MACRequest.make(
-                query, k, t, region,
-                j=j if problem == "topj" else 1,
-                algorithm=algorithm, problem=problem,
-                backend=backend, time_budget=90.0,
-            )
-            for backend in ("flat", "python")
-        }
+        request = MACRequest.make(
+            query, k, t, region,
+            j=j if problem == "topj" else 1,
+            algorithm=algorithm, problem=problem, time_budget=90.0,
+        )
         results = {}
-        for backend, request in requests.items():
-            # The harness warm idiom: prepared stages (and for "flat",
-            # the search CSR view on first search) are paid outside the
-            # timed window, so the loop itself is what's measured.
-            engine.warm(request)
-            engine.search(request)
-            times[backend] += best_of(
-                lambda r=request: engine.search(r), repeats
-            )
-            results[backend] = engine.search(request)
+        for side in ("flat", "python"):
+            with harness.forced_path(side):
+                # The harness warm idiom: prepared stages (and for
+                # "flat", the search CSR view on first search) are paid
+                # outside the timed window, so the loop itself is what's
+                # measured.
+                engine.warm(request)
+                engine.search(request)
+                times[side] += best_of(
+                    lambda r=request: engine.search(r), repeats
+                )
+                results[side] = engine.search(request)
         assert results["flat"].communities() == \
             results["python"].communities(), (
-                f"{algorithm} backend mismatch on Q={query}"
+                f"{algorithm} loop mismatch on Q={query}"
             )
         measured += 1
     if not measured:

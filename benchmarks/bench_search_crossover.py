@@ -2,7 +2,7 @@
 
     cd benchmarks && PYTHONPATH=../src python bench_search_crossover.py
 
-Runs each search loop with the request's ``backend`` forced both ways
+Runs each search loop forced both ways (``_harness.forced_path``)
 over warm prepared stages (filter, core, dominance and the flat search
 view are all built before timing) on ``fl+yelp`` at scale 0.5, data
 seed 7 — the dataset the served benchmark (``perfbench/``) uses — and
@@ -10,7 +10,7 @@ prints the median time of each and their ratio per core size.  Every
 pair is checked for identical communities.
 
 The GS rows span the served ``small`` cores up to the whole connected
-3-core; they are where ``AUTO_GS_FLAT_MIN_CORE`` in
+3-core; they are where ``GS_FLAT_MIN_CORE`` in
 ``repro.kernels.backend`` comes from.  The LS rows are the served
 ``ls-mix`` and ``wide`` requests.  Nothing is written or asserted: the
 numbers go into the constant's docstring and ``ENGINE.md``.
@@ -24,6 +24,8 @@ import sys
 import time
 
 from repro import MACEngine, MACRequest, PreferenceRegion, datasets
+
+import _harness as harness
 
 NAMES = {"global": "GS", "local": "LS"}
 
@@ -66,13 +68,14 @@ def main(argv: list[str] | None = None) -> int:
         if (algorithm, tuple(query), k, tmul) in seen:
             continue
         seen.add((algorithm, tuple(query), k, tmul))
-        runs = {
-            backend: median_ms(engine, MACRequest.make(
-                query, k, t * tmul, region, algorithm=algorithm,
-                backend=backend, time_budget=120.0,
-            ), args.repeats)
-            for backend in ("python", "flat")
-        }
+        request = MACRequest.make(
+            query, k, t * tmul, region, algorithm=algorithm,
+            time_budget=120.0,
+        )
+        runs = {}
+        for side in ("python", "flat"):
+            with harness.forced_path(side):
+                runs[side] = median_ms(engine, request, args.repeats)
         (py_ms, py), (flat_ms, flat) = runs["python"], runs["flat"]
         assert py.communities() == flat.communities(), (query, k, tmul)
         print(f"{NAMES[algorithm]:6s} {flat.htk_vertices:8d} "

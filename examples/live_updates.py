@@ -78,7 +78,7 @@ rng = np.random.default_rng(17)
 
 # Query two socially-adjacent users who sit in the 3-core: a pair with
 # a real chance of anchoring a (k, t)-community.
-coreness = core_decomposition(network.social.graph, backend="python")
+coreness = core_decomposition(network.social.graph)
 query = next(
     (u, v)
     for u in sorted(coreness)

@@ -39,7 +39,6 @@ import numpy as np
 from repro import MACEngine, MACRequest, PreferenceRegion, __version__, datasets
 from repro.datasets.registry import DATASET_NAMES
 from repro.errors import QueryError, ReproError
-from repro.kernels.backend import BACKENDS
 from repro.service.protocol import DEFAULT_PORT, plan_to_wire, result_to_wire
 from repro.store.snapshot import snapshot_info, verify_snapshot
 
@@ -364,7 +363,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     engine = MACEngine(
         ds.network,
         use_gtree=not args.no_gtree,
-        backend=args.backend,
         gtree_leaf_size=args.leaf_size,
         eager=True,
     )
@@ -379,14 +377,12 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     print(f"  dataset      {args.dataset} scale={args.scale} "
           f"seed={args.seed} d={args.dimensions}")
     print(f"  fingerprint  {manifest['fingerprint']}")
-    print(f"  backend      {manifest['backend']}")
     print(f"  layout       "
           + ("uncompressed (mmap-able)" if args.no_compress
              else "compressed"))
     print(f"  g-tree       "
           + (f"{comp['gtree']['nodes']} nodes "
-             f"({comp['gtree']['leaves']} leaves, "
-             f"backend {comp['gtree']['backend']})"
+             f"({comp['gtree']['leaves']} leaves)"
              if "gtree" in comp else "absent"))
     print(f"  road CSR     "
           + ("present" if "road_flat" in comp else "absent"))
@@ -408,7 +404,6 @@ def cmd_index_info(args: argparse.Namespace) -> int:
           f"v{manifest['format_version']} "
           f"(repro {manifest.get('repro_version', '?')})")
     print(f"  fingerprint  {manifest['fingerprint']}")
-    print(f"  backend      {manifest.get('backend', '?')}")
     print(f"  network      road |V|={net.get('road_vertices', '?')} "
           f"|E|={net.get('road_edges', '?')}, "
           f"social |V|={net.get('social_users', '?')} "
@@ -828,10 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_args(p_build)
     p_build.add_argument(
         "--out", required=True, help="snapshot output directory"
-    )
-    p_build.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="engine compute backend recorded in the snapshot",
     )
     p_build.add_argument(
         "--leaf-size", type=int, default=64,

@@ -121,7 +121,6 @@ def mac_search(
     refinement: str = "arrangement",
     certification: str = "fast",
     time_budget: float | None = None,
-    backend: str | None = None,
     deadline: float | None = None,
     anytime: bool = False,
 ) -> MACSearchResult:
@@ -151,9 +150,6 @@ def mac_search(
         Algorithm 1 — all pairwise leaf half-spaces) or ``"envelope"``
         (lower-envelope ablation: refine only against the current
         minimum; same non-contained MACs, far fewer partitions).
-    backend:
-        ``"flat"`` / ``"python"`` / ``"auto"`` compute backend (None:
-        engine default) — covers the search loops too.
     deadline, anytime:
         Wall-clock budget in seconds; with ``anytime=True`` expiry
         returns the best-so-far feasible community (``partial=True``)
@@ -176,7 +172,6 @@ def mac_search(
         refinement=refinement,
         certification=certification,
         time_budget=time_budget,
-        backend=backend,
         deadline=deadline,
         anytime=anytime,
     )
@@ -196,7 +191,6 @@ _WRAPPER_KWARGS = frozenset(
         "refinement",
         "certification",
         "time_budget",
-        "backend",
         "deadline",
         "anytime",
     }

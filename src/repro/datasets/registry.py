@@ -19,7 +19,7 @@ from repro.datasets.locations import checkin_locations
 from repro.datasets.roads import grid_road
 from repro.datasets.socials import power_law_social
 from repro.errors import DatasetError
-from repro.graph.core import peel_to_k_core
+from repro.graph.core import peel_cascade
 from repro.social.network import SocialNetwork
 from repro.social.roadsocial import RoadSocialNetwork
 
@@ -108,8 +108,8 @@ class LoadedDataset:
         # Pinned to the python cascade: the seeded draw sequence below
         # walks neighbor *sets*, whose iteration order depends on how the
         # core graph was materialized.  The cascade layout keeps suggested
-        # queries byte-stable across kernel-backend changes.
-        core = peel_to_k_core(self.network.social.graph, k, backend="python")
+        # queries byte-stable whatever size rule the kernels follow.
+        core = peel_cascade(self.network.social.graph, k)
         if core.num_vertices == 0:
             raise DatasetError(f"{self.name}: social graph has no {k}-core")
         pool = sorted(core.vertices())

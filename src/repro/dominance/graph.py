@@ -8,13 +8,12 @@ an earlier one, so the insertion order is a topological order — which the
 subset passes (leaves/tops within a vertex subset) exploit for O(V + E)
 sweeps.
 
-Two construction backends share identical semantics.  ``"flat"`` (the
-default) keeps every corner score in one ``(n, p)`` matrix: dominator
-detection is a single vectorized comparison against the inserted prefix,
-and Hasse-parent minimization is an array gather over a CSR store of
-parent rows.  ``"python"`` is the per-vertex reference path (a
-``corner_scores`` array per vertex, a pairwise ``dominance_case`` test
-per inserted predecessor) kept for equivalence testing.
+Construction keeps every corner score in one ``(n, p)`` matrix:
+dominator detection is a single vectorized comparison against the
+inserted prefix, and Hasse-parent minimization is an array gather over a
+CSR store of parent rows.  The per-vertex pairwise build it replaced is
+the oracle of ``tests/oracles/dominance.py``; the two produce identical
+DAGs.
 
 Tie handling: two vertices whose score functions coincide on all of R
 would r-dominate each other under the paper's weak inequality; we orient
@@ -33,13 +32,11 @@ from repro.dominance.relation import (
     DOMINATES,
     EQUAL,
     SCORE_EPS,
-    corner_scores,
     dominance_case,
 )
 from repro.errors import GeometryError, GraphError
 from repro.geometry.halfspace import Halfspace, score_halfspace
 from repro.geometry.region import PreferenceRegion
-from repro.kernels.backend import BACKENDS
 from repro.kernels.flatgraph import ragged_offsets
 from repro.spatial.bbs import bbs_order
 from repro.spatial.rtree import RTree
@@ -55,27 +52,18 @@ class DominanceGraph:
         attributes: Mapping[Vertex, np.ndarray],
         region: PreferenceRegion,
         use_rtree: bool = True,
-        backend: str = "auto",
     ) -> None:
-        self._init_base(attributes, region, backend)
+        self._init_base(attributes, region)
         self._build(use_rtree)
 
     def _init_base(
         self,
         attributes: Mapping[Vertex, np.ndarray],
         region: PreferenceRegion,
-        backend: str,
     ) -> None:
         """Validate inputs and compute corner scores (no DAG yet)."""
         if not attributes:
             raise GeometryError("dominance graph needs at least one vertex")
-        if backend not in BACKENDS:
-            raise GraphError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        # Unlike the graph kernels there is no small-size penalty to the
-        # matrix layout, so "auto" always resolves to "flat".
-        self.backend = "python" if backend == "python" else "flat"
         self.region = region
         self._corners = region.corners()
         self._ids: list[Vertex] = sorted(attributes)
@@ -88,21 +76,15 @@ class DominanceGraph:
                     f"vertex {v} has {x.shape[0]}-d attributes, expected {d}"
                 )
             self._attrs[v] = x
-        n = len(self._ids)
-        p = max(1, self._corners.shape[0])
-        if self.backend == "flat":
-            # One (n, d) stack + one affine product: every corner score
-            # in a single matrix, replacing n per-vertex evaluations.
-            x_all = np.asarray([self._attrs[v] for v in self._ids])
-            if self._corners.shape[1] == 0:
-                cs_all = np.repeat(x_all[:, :1], p, axis=1)
-            else:
-                tail = x_all[:, -1:]
-                cs_all = tail + (x_all[:, :-1] - tail) @ self._corners.T
+        # One (n, d) stack + one affine product: every corner score in a
+        # single matrix, replacing n per-vertex evaluations.
+        x_all = np.asarray([self._attrs[v] for v in self._ids])
+        if self._corners.shape[1] == 0:
+            p = max(1, self._corners.shape[0])
+            cs_all = np.repeat(x_all[:, :1], p, axis=1)
         else:
-            cs_all = np.empty((n, p))
-            for i, v in enumerate(self._ids):
-                cs_all[i] = corner_scores(self._attrs[v], self._corners)
+            tail = x_all[:, -1:]
+            cs_all = tail + (x_all[:, :-1] - tail) @ self._corners.T
         self._cs_all = cs_all
         self._cs_row = {v: i for i, v in enumerate(self._ids)}
         self.parents: dict[Vertex, tuple[Vertex, ...]] = {}
@@ -120,7 +102,6 @@ class DominanceGraph:
         region: PreferenceRegion,
         order: Sequence[Vertex],
         parents: Mapping[Vertex, Sequence[Vertex]],
-        backend: str = "auto",
     ) -> DominanceGraph:
         """Rebuild a Gd from a previously computed Hasse DAG.
 
@@ -132,7 +113,7 @@ class DominanceGraph:
         produced by the normal constructor).
         """
         self = cls.__new__(cls)
-        self._init_base(attributes, region, backend)
+        self._init_base(attributes, region)
         if sorted(order) != self._ids:
             raise GraphError(
                 "Hasse order is not a permutation of the attribute keys"
@@ -191,12 +172,6 @@ class DominanceGraph:
             return u < v
         return False
 
-    def _build(self, use_rtree: bool) -> None:
-        if self.backend == "flat":
-            self._build_flat(use_rtree)
-        else:
-            self._build_python(use_rtree)
-
     def _attach(self, v: Vertex, parents: list[Vertex]) -> None:
         """Shared bookkeeping once a vertex's Hasse parents are known."""
         self._pos[v] = len(self.order)
@@ -210,7 +185,7 @@ class DominanceGraph:
             0 if not parents else 1 + max(self._layer[p] for p in parents)
         )
 
-    def _build_flat(self, use_rtree: bool) -> None:
+    def _build(self, use_rtree: bool) -> None:
         """Vectorized insertion: one comparison and one gather per vertex.
 
         ``cs_ins`` mirrors the corner scores in insertion order;
@@ -265,23 +240,6 @@ class DominanceGraph:
                 parent_len += 1
             parent_ptr[count + 1] = parent_len
             self._attach(v, [self.order[r] for r in minimal_rows])
-
-    def _build_python(self, use_rtree: bool) -> None:
-        """Reference path: pairwise tests against every inserted vertex."""
-        for v in self._stream(use_rtree):
-            cs_v = self._cscore(v)
-            dominators = [
-                u
-                for u in self.order
-                if dominance_case(self._cscore(u), cs_v, SCORE_EPS)
-                in (DOMINATES, EQUAL)
-            ]
-            non_minimal: set[Vertex] = set()
-            for dom in dominators:
-                non_minimal.update(self.parents[dom])
-            self._attach(
-                v, [dom for dom in dominators if dom not in non_minimal]
-            )
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -467,12 +425,8 @@ def build_dominance_graph(
     attributes: Mapping[Vertex, np.ndarray],
     region: PreferenceRegion,
     use_rtree: bool = True,
-    backend: str = "auto",
 ) -> DominanceGraph:
     """Convenience constructor over a vertex subset."""
     return DominanceGraph(
-        {v: attributes[v] for v in vertices},
-        region,
-        use_rtree=use_rtree,
-        backend=backend,
+        {v: attributes[v] for v in vertices}, region, use_rtree=use_rtree
     )

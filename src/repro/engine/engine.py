@@ -39,7 +39,7 @@ from repro.core.query import MACQuery, PartitionEntry
 from repro.deadline import Deadline
 from repro.dominance.graph import DominanceGraph
 from repro.engine.cache import CacheStats, LRUCache
-from repro.engine.request import BACKENDS, MACRequest
+from repro.engine.request import MACRequest
 from repro.errors import DeadlineExceeded, QueryError
 from repro.graph.core import core_decomposition
 from repro.kernels import (
@@ -50,10 +50,9 @@ from repro.kernels import (
     k_core_component,
     repair_delete_rows,
     repair_insert_rows,
-    resolve_backend,
     search_flatgraph,
 )
-from repro.kernels.backend import resolve_search_backend
+from repro.kernels.backend import gs_path, stage_path
 from repro.live.invalidate import (
     RepairDelta,
     attribute_dirty,
@@ -90,7 +89,7 @@ SEARCHER_NAMES = {
 class _PreparedFilter:
     """Cached per-(Q, t) state: Lemma-1 filter plus coreness arrays.
 
-    On the flat backend the stage also materializes the CSR view of the
+    On the flat path the stage also materializes the CSR view of the
     filtered subgraph and the per-row coreness array, so every later
     (Q, k, t) core extraction reuses them instead of re-deriving flat
     state per k.
@@ -116,7 +115,7 @@ class _PreparedCore:
     """Cached per-(Q, k, t) state: H^t_k and its attribute matrix.
 
     ``search_flat`` is the row-sorted CSR view of H^t_k the flat search
-    backend peels over; it is built lazily on the first flat search of
+    loop peels over; it is built lazily on the first flat search of
     this core and memoized here so repeat queries (and other (R, j,
     problem) variations over the same core) reuse it.
     """
@@ -133,7 +132,7 @@ class EngineTelemetry:
     ``stage_seconds`` holds the cumulative wall time spent *building*
     each pipeline stage (cache hits contribute nothing) plus the time
     spent in the search phase — the observability hook that makes
-    per-stage backend wins measurable.  ``deadline_exceeded`` counts
+    per-stage kernel wins measurable.  ``deadline_exceeded`` counts
     requests aborted by their :class:`~repro.errors.DeadlineExceeded`
     budget (the serving metric that distinguishes "slow" from "hung");
     ``partial_results`` counts anytime requests that degraded to a
@@ -294,15 +293,6 @@ class MACEngine:
         ``MACRequest.use_gtree`` as ``None``: ``True`` / ``False`` force
         it; ``"auto"`` uses the G-tree when the road network has at
         least ``gtree_auto_threshold`` vertices.
-    backend:
-        Default compute backend for requests that leave
-        ``MACRequest.backend`` as ``None``: ``"flat"`` runs the
-        vectorized CSR kernels (``repro.kernels``), ``"python"`` the
-        original per-vertex implementations, ``"auto"`` picks by social
-        network size (the global search by |H^t_k|, see
-        :func:`~repro.kernels.backend.resolve_search_backend`).  Both
-        produce identical results; the selector is resolved once per
-        request so all cache keys are canonical.
     eager:
         Build the G-tree at construction time (only when the resolved
         default strategy uses it) instead of on first use.
@@ -322,7 +312,6 @@ class MACEngine:
         gtree_auto_threshold: int = 2048,
         gtree_leaf_size: int = 64,
         auto_local_threshold: int = 256,
-        backend: str = "auto",
         filter_cache_size: int = 128,
         core_cache_size: int = 128,
         dominance_cache_size: int = 64,
@@ -333,12 +322,7 @@ class MACEngine:
             raise QueryError(
                 f"use_gtree must be True, False or 'auto', got {use_gtree!r}"
             )
-        if backend not in BACKENDS:
-            raise QueryError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self.network = network
-        self._default_backend = backend
         self.gtree_leaf_size = gtree_leaf_size
         self.auto_local_threshold = auto_local_threshold
         if use_gtree == "auto":
@@ -373,14 +357,7 @@ class MACEngine:
     def prepare(self) -> None:
         """Eagerly build network-level indexes the default plan will use."""
         if self._default_use_gtree:
-            # Raw selector: the G-tree resolves "auto" by *road* size
-            # (its per-kernel rule), same as a lazy first query would.
-            self.network.build_gtree(
-                leaf_size=self.gtree_leaf_size,
-                backend=self._default_backend,
-            )
-        if self._resolve_backend_selector(self._default_backend) == "flat":
-            self.network.road.flat()
+            self.network.build_gtree(leaf_size=self.gtree_leaf_size)
 
     def save(self, path, *, compress: bool = True) -> dict:
         """Persist the prepared state as an index snapshot at ``path``.
@@ -614,12 +591,9 @@ class MACEngine:
             filter_entries = dict(self._filter_cache.items())
 
             def result_pred(key, _value) -> bool:
-                backend = self._resolve_backend_selector(
-                    key[8] if key[8] is not None else self._default_backend
-                )
-                if (key[0], key[1], key[2], backend) in kept_cores:
+                if key[:3] in kept_cores:
                     return False  # surviving core entry: user not a member
-                prep = filter_entries.get((key[0], key[2], backend))
+                prep = filter_entries.get((key[0], key[2]))
                 if prep is not None:
                     # No member set to consult, but the (Q, t) filter
                     # bounds it: a user outside the range filter cannot
@@ -666,26 +640,22 @@ class MACEngine:
 
         def core_pred(key, state) -> bool:
             members = None if state.core is None else state.core.graph
-            if dirty((key[0], key[2], key[3]), key[1], members):
+            if dirty((key[0], key[2]), key[1], members):
                 return True
             kept_cores.add(key)
             return False
 
         evicted += self._core_cache.evict_if(core_pred)
         evicted += self._gd_cache.evict_if(
-            lambda key, gd: dirty((key[0], key[2], key[4]), key[1], gd)
+            lambda key, gd: dirty((key[0], key[2]), key[1], gd)
         )
         if self._result_cache is not None:
 
             def result_pred(key, _value) -> bool:
-                backend = self._resolve_backend_selector(
-                    key[8] if key[8] is not None else self._default_backend
-                )
-                if (key[0], key[1], key[2], backend) in kept_cores:
+                if key[:3] in kept_cores:
                     return False  # its (k,t)-core entry was proven clean
-                if (key[0], key[2], backend) in warm and (
-                    (key[0], key[2], backend) not in deltas
-                ):
+                fkey = (key[0], key[2])
+                if fkey in warm and fkey not in deltas:
                     return False  # edge outside the entry's filtered graph
                 return True
 
@@ -701,8 +671,8 @@ class MACEngine:
         holding it keep a consistent pre-mutation view; the repaired
         copy replaces it in the cache, sharing every adjacency set but
         the two endpoints' with it.  The entry's own representation
-        is the backend seam: flat entries splice the CSR and run the
-        row kernels of :mod:`repro.kernels.livecore`, python entries the
+        picks the repair: flat entries splice the CSR and run the row
+        kernels of :mod:`repro.kernels.livecore`, python entries the
         dict reference of :mod:`repro.live.kcore`.
         """
         filtered = prep.filtered.toggled(u, v)
@@ -761,40 +731,26 @@ class MACEngine:
             return self._default_use_gtree
         return request.use_gtree
 
-    def _resolve_backend_selector(self, selector: str) -> str:
-        """Concrete ``"flat"``/``"python"`` for an ``"auto"`` selector.
+    def _stage_path(self) -> str:
+        """``"flat"``/``"python"`` of the staged kernels, by social size.
 
-        ``"auto"`` is resolved once, against the social-network size (the
-        substrate every staged kernel runs on), so cache keys stay
-        canonical across requests that spell the default differently.
+        Decided against the whole social network (the substrate every
+        staged kernel runs on), so every entry of one engine shares a
+        representation; no mutation kind adds users.
         """
-        return resolve_backend(selector, self.network.social.num_users)
+        return stage_path(self.network.social.num_users)
 
-    def _backend_selector(self, request: MACRequest) -> str:
-        if request.backend is not None:
-            return request.backend
-        return self._default_backend
-
-    def _resolve_backend(self, request: MACRequest) -> str:
-        return self._resolve_backend_selector(self._backend_selector(request))
-
-    def _search_backend(
-        self, request: MACRequest, algorithm: str, htk_vertices: int
-    ) -> str:
+    def _search_path(self, algorithm: str, htk_vertices: int) -> str:
         """The loop a searcher runs on: the one rule that both
         :meth:`_execute` and :meth:`explain` report."""
-        return resolve_search_backend(
-            self._backend_selector(request),
-            algorithm,
-            htk_vertices,
-            self._resolve_backend(request),
-        )
+        if algorithm == "global":
+            return gs_path(htk_vertices)
+        return self._stage_path()
 
     def _prepared_filter(
         self,
         request: MACRequest,
         use_gtree: bool,
-        backend: str,
         tel: dict,
         times: dict,
         deadline: Deadline | None = None,
@@ -803,22 +759,17 @@ class MACEngine:
             if deadline is not None:
                 deadline.check("range filter")
             start = time.perf_counter()
-            # The road stage gets the *raw* selector: an "auto" request
-            # lets bounded Dijkstra apply its own per-kernel rule (flat
-            # measures slower there), while the resolved ``backend``
-            # governs the social kernels below and the cache keys.
             dq = self.network.query_distance_filter(
-                request.query, request.t,
-                use_gtree=use_gtree, backend=self._backend_selector(request),
+                request.query, request.t, use_gtree=use_gtree
             )
             filtered = self.network.social.graph.subgraph(dq)
             flat = core_rows = None
-            if backend == "flat" and filtered.num_vertices:
+            if self._stage_path() == "flat" and filtered.num_vertices:
                 flat = FlatGraph.from_adjacency(filtered)
                 core_rows = core_numbers(flat)
                 coreness = flat.relabel(core_rows)
             else:
-                coreness = core_decomposition(filtered, backend=backend)
+                coreness = core_decomposition(filtered)
             times["filter"] = time.perf_counter() - start
             return _PreparedFilter(
                 query_distance=dq,
@@ -830,7 +781,7 @@ class MACEngine:
             )
 
         prep, hit = self._filter_cache.get_or_create(
-            request.filter_key + (backend,), build, deadline
+            request.filter_key, build, deadline
         )
         tel["filter"] = "hit" if hit else "miss"
         return prep
@@ -867,14 +818,13 @@ class MACEngine:
         self,
         request: MACRequest,
         use_gtree: bool,
-        backend: str,
         tel: dict,
         times: dict,
         deadline: Deadline | None = None,
     ) -> _PreparedCore:
         def build() -> _PreparedCore:
             prep = self._prepared_filter(
-                request, use_gtree, backend, tel, times, deadline
+                request, use_gtree, tel, times, deadline
             )
             if deadline is not None:
                 deadline.check("(k,t)-core extraction")
@@ -893,7 +843,7 @@ class MACEngine:
                 times["core"] = time.perf_counter() - start
 
         state, hit = self._core_cache.get_or_create(
-            request.core_key + (backend,), build, deadline
+            request.core_key, build, deadline
         )
         tel["core"] = "hit" if hit else "miss"
         if hit:
@@ -905,7 +855,6 @@ class MACEngine:
         self,
         request: MACRequest,
         core_state: _PreparedCore,
-        backend: str,
         tel: dict,
         times: dict,
         deadline: Deadline | None = None,
@@ -915,14 +864,12 @@ class MACEngine:
                 deadline.check("r-dominance construction")
             start = time.perf_counter()
             try:
-                return DominanceGraph(
-                    core_state.attributes, request.region, backend=backend
-                )
+                return DominanceGraph(core_state.attributes, request.region)
             finally:
                 times["dominance"] = time.perf_counter() - start
 
         gd, hit = self._gd_cache.get_or_create(
-            request.dominance_key + (backend,), build, deadline
+            request.dominance_key, build, deadline
         )
         tel["dominance"] = "hit" if hit else "miss"
         return gd
@@ -965,11 +912,11 @@ class MACEngine:
         algorithm: str,
         core_state: _PreparedCore,
         gd: DominanceGraph,
-        search_backend: str,
+        search_path: str,
         deadline: Deadline | None = None,
     ) -> tuple[list[PartitionEntry], SearchStats, bool]:
         core = core_state.core
-        flat = self._search_flat(core_state) if search_backend == "flat" else None
+        flat = self._search_flat(core_state) if search_path == "flat" else None
         anytime = request.anytime and deadline is not None
         if algorithm == "global":
             searcher = GlobalSearch(
@@ -1101,7 +1048,6 @@ class MACEngine:
     ) -> MACSearchResult:
         """The uncached pipeline: prepare (via stage caches) + search."""
         use_gtree = self._resolve_use_gtree(request)
-        backend = self._resolve_backend(request)
         anytime = request.anytime and deadline is not None
         q = MACQuery.make(
             request.query, request.k, request.t, request.region, request.j
@@ -1111,7 +1057,7 @@ class MACEngine:
         times: dict[str, float] = {}
         try:
             core_state = self._prepared_core(
-                request, use_gtree, backend, tel_cache, times, deadline
+                request, use_gtree, tel_cache, times, deadline
             )
             if core_state.core is None:
                 tel_cache["dominance"] = "skipped"
@@ -1120,12 +1066,12 @@ class MACEngine:
                     q, [], SearchStats(), time.perf_counter() - start
                 )
                 result.extra["engine"] = self._telemetry_entry(
-                    request, "none", use_gtree, backend, tel_cache, times,
+                    request, "none", use_gtree, tel_cache, times,
                     prepare_s=time.perf_counter() - start, search_s=0.0,
                 )
                 return result
             gd = self._dominance(
-                request, core_state, backend, tel_cache, times, deadline
+                request, core_state, tel_cache, times, deadline
             )
         except DeadlineExceeded:
             if not anytime:
@@ -1139,7 +1085,7 @@ class MACEngine:
                 partial=True, progress={"stage": "prepare"},
             )
             result.extra["engine"] = self._telemetry_entry(
-                request, "none", use_gtree, backend, tel_cache, times,
+                request, "none", use_gtree, tel_cache, times,
                 prepare_s=time.perf_counter() - start, search_s=0.0,
             )
             return result
@@ -1152,12 +1098,12 @@ class MACEngine:
             # expired budget it drains immediately into a best-so-far
             # (H^t_k fallback) answer instead of raising here.
             deadline.check("search")
-        search_backend = self._search_backend(
-            request, algorithm, core_state.core.num_vertices
+        search_path = self._search_path(
+            algorithm, core_state.core.num_vertices
         )
         search_start = time.perf_counter()
         partitions, stats, partial = self._run_searcher(
-            request, algorithm, core_state, gd, search_backend, deadline
+            request, algorithm, core_state, gd, search_path, deadline
         )
         search_s = time.perf_counter() - search_start
         times["search"] = search_s
@@ -1181,9 +1127,8 @@ class MACEngine:
             progress=progress,
         )
         result.extra["engine"] = self._telemetry_entry(
-            request, algorithm, use_gtree, backend, tel_cache, times,
-            prepare_s=prepare_s, search_s=search_s,
-            search_backend=search_backend,
+            request, algorithm, use_gtree, tel_cache, times,
+            prepare_s=prepare_s, search_s=search_s, search_path=search_path,
         )
         return result
 
@@ -1192,12 +1137,11 @@ class MACEngine:
         request: MACRequest,
         algorithm: str,
         use_gtree: bool,
-        backend: str,
         tel_cache: dict[str, str],
         times: dict[str, float],
         prepare_s: float,
         search_s: float,
-        search_backend: str = "none",
+        search_path: str = "none",
     ) -> dict:
         timings = {"prepare": prepare_s, "search": search_s}
         # Per-stage build cost of this request (0.0 = served from cache).
@@ -1207,8 +1151,8 @@ class MACEngine:
             "label": request.label,
             "algorithm": algorithm,
             "filter_strategy": "gtree" if use_gtree else "dijkstra",
-            "backend": backend,
-            "search_backend": search_backend,
+            "backend": self._stage_path(),
+            "search_backend": search_path,
             "cache": dict(tel_cache),
             "timings": timings,
         }
@@ -1225,15 +1169,14 @@ class MACEngine:
         """
         request = self._check(request)
         use_gtree = self._resolve_use_gtree(request)
-        backend = self._resolve_backend(request)
         deadline = Deadline.of(request.deadline)
         tel: dict[str, str] = {}
         times: dict[str, float] = {}
         core_state = self._prepared_core(
-            request, use_gtree, backend, tel, times, deadline
+            request, use_gtree, tel, times, deadline
         )
         if core_state.core is not None:
-            self._dominance(request, core_state, backend, tel, times, deadline)
+            self._dominance(request, core_state, tel, times, deadline)
         else:
             tel["dominance"] = "skipped"
         self._account_stage_times(times)
@@ -1275,16 +1218,9 @@ class MACEngine:
         """
         request = self._check(request)
         use_gtree = self._resolve_use_gtree(request)
-        backend = self._resolve_backend(request)
-        prep, prep_cached = self._filter_cache.peek(
-            request.filter_key + (backend,)
-        )
-        core_state, core_cached = self._core_cache.peek(
-            request.core_key + (backend,)
-        )
-        _gd, gd_cached = self._gd_cache.peek(
-            request.dominance_key + (backend,)
-        )
+        prep, prep_cached = self._filter_cache.peek(request.filter_key)
+        core_state, core_cached = self._core_cache.peek(request.core_key)
+        _gd, gd_cached = self._gd_cache.peek(request.dominance_key)
         if self._result_cache is not None:
             template, result_cached = self._result_cache.peek(
                 request.result_key
@@ -1361,7 +1297,7 @@ class MACEngine:
         else:
             searcher = SEARCHER_NAMES[(algorithm, request.problem)]
         if algorithm == "none":
-            search_backend = frontier = "none"
+            search_path = frontier = "none"
         else:
             frontier = (
                 f"push-{request.strategy}"
@@ -1369,9 +1305,9 @@ class MACEngine:
                 else f"peel-{request.refinement}"
             )
             size = htk_vertices if known_exact else upper
-            search_backend = self._search_backend(request, algorithm, size)
-            if not known_exact and search_backend != self._search_backend(
-                request, algorithm, 0
+            search_path = self._search_path(algorithm, size)
+            if not known_exact and search_path != self._search_path(
+                algorithm, 0
             ):
                 # The rule is monotone in |H^t_k|: the choice is settled
                 # only when the empty core and the bound agree.
@@ -1388,8 +1324,8 @@ class MACEngine:
             algorithm_reason=reason,
             searcher=searcher,
             filter_strategy="gtree" if use_gtree else "dijkstra",
-            backend=backend,
-            search_backend=search_backend,
+            backend=self._stage_path(),
+            search_backend=search_path,
             frontier=frontier,
             gtree_built=self.network.has_gtree,
             cached={

@@ -16,7 +16,6 @@ from numbers import Integral, Real
 
 from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
-from repro.kernels.backend import BACKENDS
 
 PROBLEMS = ("nc", "topj")
 ALGORITHMS = ("auto", "global", "local")
@@ -48,7 +47,6 @@ class MACRequest:
     problem: str = "nc"
     algorithm: str = "auto"
     use_gtree: bool | None = None  # None: engine default
-    backend: str | None = None  # None: engine default ("auto"/"flat"/"python")
     max_partitions: int | None = None
     strategy: str = "eq3"
     max_candidates: int = 24
@@ -122,11 +120,6 @@ class MACRequest:
             raise QueryError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
                 f"{ALGORITHMS}"
-            )
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise QueryError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{BACKENDS} (or None for the engine default)"
             )
         if self.strategy not in STRATEGIES:
             raise QueryError(
@@ -228,7 +221,6 @@ class MACRequest:
             self.problem,
             self.algorithm,
             self.use_gtree,
-            self.backend,
             self.max_partitions,
             self.strategy,
             self.max_candidates,

@@ -5,12 +5,11 @@ O(m) routine cited as [14] in the paper).  ``k_core_containing`` computes
 the maximal connected k-core (k-ĉore) that contains all query vertices,
 the building block of the maximal (k,t)-core (Lemma 2/3).
 
-Every entry point takes ``backend="auto" | "flat" | "python"``: the flat
-backend runs the vectorized CSR kernels of :mod:`repro.kernels` (batch
-peeling, array BFS), the python backend the original per-vertex
-implementations; ``"auto"`` picks flat for graphs large enough that the
-array setup pays for itself.  Both backends return identical results
-(asserted in ``tests/kernels/``).
+Graphs large enough that the array setup pays for itself
+(:func:`~repro.kernels.backend.stage_path`) run the vectorized CSR
+kernels of :mod:`repro.kernels` (batch peeling, array BFS); smaller ones
+run the original per-vertex implementations.  Both paths return
+identical results (asserted in ``tests/kernels/``).
 """
 
 from __future__ import annotations
@@ -21,24 +20,17 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import GraphError
 from repro.graph.adjacency import AdjacencyGraph, Vertex
-from repro.kernels import (
-    FlatGraph,
-    component_mask,
-    core_numbers,
-    k_core_component,
-    resolve_backend,
-)
+from repro.kernels import FlatGraph, core_numbers, k_core_component
+from repro.kernels.backend import stage_path
 
 
-def core_decomposition(
-    graph: AdjacencyGraph, backend: str = "auto"
-) -> dict[Vertex, int]:
+def core_decomposition(graph: AdjacencyGraph) -> dict[Vertex, int]:
     """Return the core number of every vertex (Batagelj–Zaversnik).
 
     The core number of ``v`` is the largest k such that ``v`` belongs to a
     k-core of ``graph``.
     """
-    if resolve_backend(backend, graph.num_vertices) == "flat":
+    if stage_path(graph.num_vertices) == "flat":
         fg = FlatGraph.from_adjacency(graph)
         return fg.relabel(core_numbers(fg))
     return _core_decomposition_python(graph)
@@ -94,21 +86,31 @@ def _core_decomposition_python(graph: AdjacencyGraph) -> dict[Vertex, int]:
     return core
 
 
-def peel_to_k_core(
-    graph: AdjacencyGraph, k: int, backend: str = "auto"
-) -> AdjacencyGraph:
+def peel_to_k_core(graph: AdjacencyGraph, k: int) -> AdjacencyGraph:
     """Return the maximal k-core of ``graph`` as a new graph.
 
     The result may be empty and may be disconnected (the union of all
-    k-ĉores).  The flat backend thresholds the coreness array (the
-    maximal k-core is exactly the vertices with coreness >= k); the
-    python backend runs the original removal cascade.
+    k-ĉores).  The flat path thresholds the coreness array (the maximal
+    k-core is exactly the vertices with coreness >= k); the python path
+    runs :func:`peel_cascade`.
+    """
+    if stage_path(graph.num_vertices) == "python":
+        return peel_cascade(graph, k)
+    if k < 0:
+        raise GraphError(f"k must be non-negative, got {k}")
+    fg = FlatGraph.from_adjacency(graph)
+    return graph.subgraph(fg.select_ids(core_numbers(fg) >= k))
+
+
+def peel_cascade(graph: AdjacencyGraph, k: int) -> AdjacencyGraph:
+    """The maximal k-core by the original per-vertex removal cascade.
+
+    The python path of :func:`peel_to_k_core`.  The returned graph's
+    neighbor sets are materialized in cascade order, which callers that
+    walk them with a seeded draw (query suggestion) rely on.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")
-    if resolve_backend(backend, graph.num_vertices) == "flat":
-        fg = FlatGraph.from_adjacency(graph)
-        return graph.subgraph(fg.select_ids(core_numbers(fg) >= k))
     g = graph.copy()
     queue = deque(v for v in g.vertices() if g.degree(v) < k)
     enqueued = set(queue)
@@ -125,18 +127,15 @@ def peel_to_k_core(
     return g
 
 
-def k_core(
-    graph: AdjacencyGraph, k: int, backend: str = "auto"
-) -> AdjacencyGraph:
+def k_core(graph: AdjacencyGraph, k: int) -> AdjacencyGraph:
     """Alias for :func:`peel_to_k_core` (maximal, possibly disconnected)."""
-    return peel_to_k_core(graph, k, backend=backend)
+    return peel_to_k_core(graph, k)
 
 
 def k_core_containing(
     graph: AdjacencyGraph,
     query: Iterable[Vertex],
     k: int,
-    backend: str = "auto",
 ) -> AdjacencyGraph | None:
     """The maximal connected k-core (k-ĉore) containing every query vertex.
 
@@ -151,13 +150,13 @@ def k_core_containing(
         raise GraphError(f"k must be non-negative, got {k}")
     if any(v not in graph for v in q):
         return None
-    if resolve_backend(backend, graph.num_vertices) == "flat":
+    if stage_path(graph.num_vertices) == "flat":
         fg = FlatGraph.from_adjacency(graph)
         comp = k_core_component(fg, fg.rows_of(q), k)
         if comp is None:
             return None
         return graph.subgraph(fg.select_ids(comp))
-    core = peel_to_k_core(graph, k, backend="python")
+    core = peel_cascade(graph, k)
     if any(v not in core for v in q):
         return None
     component = core.component_of(q[0])
@@ -170,11 +169,10 @@ def k_cores_containing(
     graph: AdjacencyGraph,
     query: Iterable[Vertex],
     ks: Sequence[int],
-    backend: str = "auto",
 ) -> dict[int, AdjacencyGraph | None]:
     """Batched :func:`k_core_containing` over several coreness thresholds.
 
-    One decomposition (and, on the flat backend, one CSR build) serves
+    One decomposition (and, on the flat path, one CSR build) serves
     every k — the engine-style amortization for parameter sweeps.
     """
     q = list(query)
@@ -185,7 +183,7 @@ def k_cores_containing(
     out: dict[int, AdjacencyGraph | None] = {}
     if any(v not in graph for v in q):
         return {int(kk): None for kk in ks}
-    if resolve_backend(backend, graph.num_vertices) == "flat":
+    if stage_path(graph.num_vertices) == "flat":
         fg = FlatGraph.from_adjacency(graph)
         core = core_numbers(fg)
         rows = fg.rows_of(q)

@@ -5,13 +5,12 @@ cascades, connected components, bounded Dijkstra, G-tree matrix
 assembly, corner-score dominance sweeps — has a vectorized
 implementation here, operating on an int-indexed CSR graph
 (:class:`FlatGraph`) instead of dicts-of-sets.  The higher layers
-(``graph.core``, ``road.dijkstra``, ``road.gtree``,
-``dominance.graph``) delegate to these kernels behind their existing
-APIs; the pure-Python paths remain available as ``backend="python"``
-and are asserted equivalent in ``tests/kernels/``.
+(``graph.core``, ``road.gtree``, ``dominance.graph``, the engine)
+delegate to these kernels behind their existing APIs; the input size
+picks the path (:mod:`repro.kernels.backend`), and the pure-Python paths
+are asserted equivalent in ``tests/kernels/``.
 """
 
-from repro.kernels.backend import BACKENDS, resolve_backend
 from repro.kernels.core import (
     component_labels,
     component_mask,
@@ -28,7 +27,6 @@ from repro.kernels.livecore import (
 )
 from repro.kernels.paths import (
     all_pairs_minplus,
-    bounded_dijkstra_rows,
     dense_weight_matrix,
     masked_dijkstra_rows,
 )
@@ -43,11 +41,9 @@ from repro.kernels.search import (
 )
 
 __all__ = [
-    "BACKENDS",
     "FlatGraph",
     "alive_degrees",
     "all_pairs_minplus",
-    "bounded_dijkstra_rows",
     "cascade_rows",
     "component_labels",
     "component_mask",
@@ -64,6 +60,5 @@ __all__ = [
     "repair_insert_rows",
     "restrict_rows",
     "restrict_rows_incremental",
-    "resolve_backend",
     "search_flatgraph",
 ]

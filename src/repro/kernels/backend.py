@@ -1,62 +1,50 @@
-"""Backend selection shared by every kernel-accelerated entry point.
+"""Which compute path runs: one size rule per call site.
 
-``"flat"`` runs the vectorized CSR kernels, ``"python"`` the original
-dict/heap implementations, and ``"auto"`` picks per call site: flat for
-graphs large enough that numpy wins, python below that (array setup has
-a fixed cost the dict paths do not pay on tiny inputs).
+Every hot kernel has a vectorized CSR path (``"flat"``) and a
+dict/heap path (``"python"``) that return identical results.  The
+input alone picks between them: array setup has a fixed cost the dict
+paths do not pay on small inputs, so each call site switches to the
+flat path at a measured size.  Each rule reads its module constant
+when it is called.
 
-:data:`AUTO_FLAT_MIN_VERTICES` governs the stage kernels (range filter,
-core decomposition, dominance) and the local search; the global search
-picks its loop from the size of the core it peels
-(:func:`resolve_search_backend`).
+* :func:`stage_path` — the stage kernels (core decomposition, peeling,
+  the engine's filter/core stages and the local search) by the number
+  of social-graph vertices;
+* :func:`gtree_path` — the G-tree matrix assembly by road vertices;
+* :func:`gs_path` — the global search loop by |H^t_k|.
+
+Bounded Dijkstra always runs the heap loop and the r-dominance graph
+is always built on the corner-score matrix; neither has a size rule.
 """
 
 from __future__ import annotations
 
-from repro.errors import GraphError
+#: The stage kernels and the G-tree switch to the flat path at this
+#: vertex count.  The flat paths pay a CSR conversion per call; measured
+#: one-shot breakeven against the python paths sits around a couple
+#: thousand vertices.
+FLAT_MIN_VERTICES = 2048
 
-#: Valid backend selectors, in every ``backend=`` parameter.
-BACKENDS = ("auto", "flat", "python")
-
-#: ``"auto"`` switches to the flat kernels at this vertex count.  The
-#: flat paths pay a CSR conversion per call; measured one-shot breakeven
-#: against the python paths sits around a couple thousand vertices
-#: (callers that convert once and reuse — e.g. the engine's prepared
-#: stages — can force ``"flat"`` below it).
-AUTO_FLAT_MIN_VERTICES = 2048
-
-#: ``"auto"`` runs the global search (Algorithm 1) on the flat CSR loop
-#: from this |H^t_k| up, on the set-based loop below it.  A flat peel
-#: round makes ~20 small numpy calls whose fixed cost dominates on small
-#: cores.  Measured with ``benchmarks/bench_search_crossover.py`` (warm
-#: GS on ``fl+yelp`` 0.5, 2-vCPU host), python/flat time: 0.27-0.47 at
+#: The global search (Algorithm 1) runs on the flat CSR loop from this
+#: |H^t_k| up, on the set-based loop below it.  A flat peel round makes
+#: ~20 small numpy calls whose fixed cost dominates on small cores.
+#: Measured with ``benchmarks/bench_search_crossover.py`` (warm GS on
+#: ``fl+yelp`` 0.5, 2-vCPU host), python/flat time: 0.27-0.47 at
 #: |H^t_k| 28-603, 0.47-0.62 at 1032-1143, 0.75 at 1357, 1.03 at 1769,
 #: 1.12-1.15 at 1979-2034 and 1.73 at 2399; the crossover is ~1.7k.
-AUTO_GS_FLAT_MIN_CORE = 1700
+GS_FLAT_MIN_CORE = 1700
 
 
-def resolve_backend(backend: str, num_vertices: int) -> str:
-    """Map a backend selector to the concrete ``"flat"``/``"python"``."""
-    if backend not in BACKENDS:
-        raise GraphError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "auto":
-        return "flat" if num_vertices >= AUTO_FLAT_MIN_VERTICES else "python"
-    return backend
+def stage_path(num_vertices: int) -> str:
+    """``"flat"`` or ``"python"`` for stage kernels over a social graph."""
+    return "flat" if num_vertices >= FLAT_MIN_VERTICES else "python"
 
 
-def resolve_search_backend(
-    selector: str, algorithm: str, core_vertices: int, stage_backend: str
-) -> str:
-    """Concrete backend of a request's search loop.
+def gtree_path(road_vertices: int) -> str:
+    """``"flat"`` or ``"python"`` for the G-tree over a road network."""
+    return "flat" if road_vertices >= FLAT_MIN_VERTICES else "python"
 
-    ``selector`` is the request's raw backend selector and
-    ``stage_backend`` its resolved stage backend.  An explicit
-    ``"flat"``/``"python"`` is obeyed; ``"auto"`` picks the global
-    search's loop by ``core_vertices`` (|H^t_k|) and leaves the local
-    search on ``stage_backend``.
-    """
-    if selector == "auto" and algorithm == "global":
-        return "flat" if core_vertices >= AUTO_GS_FLAT_MIN_CORE else "python"
-    return stage_backend
+
+def gs_path(core_vertices: int) -> str:
+    """``"flat"`` or ``"python"`` for the global search over H^t_k."""
+    return "flat" if core_vertices >= GS_FLAT_MIN_CORE else "python"

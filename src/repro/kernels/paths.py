@@ -1,18 +1,16 @@
-"""Shortest-path kernels: heap-on-arrays Dijkstra and dense min-plus.
+"""Shortest-path kernels of the G-tree: masked Dijkstra and dense min-plus.
 
-``bounded_dijkstra_rows`` is the flat counterpart of
-``road.dijkstra.bounded_dijkstra``: the distance table is a flat list
-indexed by row (no hashing) and adjacency comes from the CSR arrays'
-list view.  ``all_pairs_minplus`` is the vectorized Floyd–Warshall used
-by the G-tree matrix assembly, where one (B, B) numpy relaxation per
-pivot replaces a per-border python Dijkstra over the border mini-graph.
+``masked_dijkstra_rows`` runs a leaf-local Dijkstra over the CSR
+arrays' list view.  ``all_pairs_minplus`` is the vectorized
+Floyd–Warshall used by the G-tree matrix assembly, where one (B, B)
+numpy relaxation per pivot replaces a per-border python Dijkstra over
+the border mini-graph.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -20,41 +18,6 @@ from repro.errors import GraphError
 from repro.kernels.flatgraph import FlatGraph, ragged_offsets
 
 INF = math.inf
-
-
-def bounded_dijkstra_rows(
-    fg: FlatGraph,
-    seeds: Iterable[tuple[int, float]],
-    bound: float = INF,
-) -> dict[int, float]:
-    """Distances (<= bound) from multi-point seeds, keyed by row.
-
-    ``seeds`` are ``(row, initial distance)`` pairs — two entries encode
-    a source lying mid-edge.  The distance table is a flat list indexed
-    by row (no hashing); rows are settled in distance order, so the
-    returned dict iterates nearest-first.
-    """
-    adj = fg.adjacency_pairs()
-    dist = [INF] * fg.n
-    heap = []
-    for row, off in seeds:
-        if off <= bound and off < dist[row]:
-            dist[row] = off
-            heap.append((off, row))
-    heapq.heapify(heap)
-    out: dict[int, float] = {}
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if u in out or d > dist[u]:
-            continue
-        out[u] = d
-        for v, w in adj[u]:
-            nd = d + w
-            if nd <= bound and nd < dist[v]:
-                dist[v] = nd
-                push(heap, (nd, v))
-    return out
 
 
 def masked_dijkstra_rows(

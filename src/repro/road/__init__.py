@@ -8,7 +8,6 @@ from repro.road.dijkstra import (
 )
 from repro.road.gtree import GTree
 from repro.road.network import RoadNetwork, SpatialPoint
-from repro.road.range_query import range_filter
 
 __all__ = [
     "RoadNetwork",
@@ -18,5 +17,4 @@ __all__ = [
     "network_distance",
     "query_distances",
     "GTree",
-    "range_filter",
 ]

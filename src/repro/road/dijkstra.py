@@ -4,14 +4,10 @@ Provides plain and distance-bounded Dijkstra from vertices or from
 ``SpatialPoint``s lying mid-edge, plus the query-distance aggregation
 ``D_Q(v) = max_q dist(L(v), L(q))`` of Definition 2.
 
-All entry points take ``backend="auto" | "flat" | "python"``: the flat
-backend runs :func:`repro.kernels.bounded_dijkstra_rows` on the road's
-cached CSR view (flat distance table, list-indexed adjacency); the
-python backend is the original dict-keyed heap loop.  Unlike the core
-and dominance kernels, Dijkstra on the bundled road shapes (degree
-~2.5) is heap-bound and the flat path measures break-even to slower
-(``BENCH_kernels.json``), so ``"auto"`` resolves to python here — the
-flat path runs only when requested explicitly.
+Every entry point runs the dict-keyed heap loop.  Unlike the core and
+dominance kernels, Dijkstra on the bundled road shapes (degree ~2.5) is
+heap-bound, and a list-indexed CSR variant measured break-even to
+slower, so there is no flat path here.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ import heapq
 import math
 from collections.abc import Iterable
 
-from repro.errors import GraphError
-from repro.kernels import BACKENDS, bounded_dijkstra_rows
 from repro.road.network import RoadNetwork, SpatialPoint
 
 INF = math.inf
@@ -36,34 +30,19 @@ def _seed_heap(road: RoadNetwork, source: SpatialPoint) -> list[tuple[float, int
     return [(source.offset, source.u), (length - source.offset, source.v)]
 
 
-def dijkstra(
-    road: RoadNetwork, source: SpatialPoint | int, backend: str = "auto"
-) -> dict[int, float]:
+def dijkstra(road: RoadNetwork, source: SpatialPoint | int) -> dict[int, float]:
     """Distances from ``source`` to every reachable road vertex."""
-    return bounded_dijkstra(road, source, INF, backend=backend)
+    return bounded_dijkstra(road, source, INF)
 
 
 def bounded_dijkstra(
     road: RoadNetwork,
     source: SpatialPoint | int,
     bound: float,
-    backend: str = "auto",
 ) -> dict[int, float]:
     """Distances from ``source`` to vertices within ``bound`` (inclusive)."""
     if isinstance(source, int):
         source = SpatialPoint.at_vertex(source)
-    if backend not in BACKENDS:
-        raise GraphError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "flat":
-        fg = road.flat()
-        seeds = [
-            (fg.row_of(v), off) for off, v in _seed_heap(road, source)
-        ]
-        rows = bounded_dijkstra_rows(fg, seeds, bound)
-        ids = fg.ids
-        return {ids[r]: d for r, d in rows.items()}
     dist: dict[int, float] = {}
     heap = [e for e in _seed_heap(road, source) if e[0] <= bound]
     heapq.heapify(heap)
@@ -94,7 +73,6 @@ def network_distance(
     road: RoadNetwork,
     a: SpatialPoint | int,
     b: SpatialPoint | int,
-    backend: str = "auto",
 ) -> float:
     """Shortest network distance between two locations (+inf if disconnected).
 
@@ -111,7 +89,7 @@ def network_distance(
         if same:
             off_b = b.offset if a.u == b.u else road.weight(a.u, a.v) - b.offset
             direct = abs(a.offset - off_b)
-    dist = dijkstra(road, a, backend=backend)
+    dist = dijkstra(road, a)
     return min(direct, _point_distance(dist, b, road))
 
 
@@ -119,7 +97,6 @@ def query_distances(
     road: RoadNetwork,
     query_points: Iterable[SpatialPoint],
     bound: float = INF,
-    backend: str = "auto",
 ) -> dict[int, float]:
     """``D_Q`` over road vertices: max distance to any query point (Def. 2).
 
@@ -128,7 +105,7 @@ def query_distances(
     """
     result: dict[int, float] | None = None
     for q in query_points:
-        d = bounded_dijkstra(road, q, bound, backend=backend)
+        d = bounded_dijkstra(road, q, bound)
         if result is None:
             result = d
         else:

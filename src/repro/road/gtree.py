@@ -34,8 +34,8 @@ from repro.kernels import (
     all_pairs_minplus,
     dense_weight_matrix,
     masked_dijkstra_rows,
-    resolve_backend,
 )
+from repro.kernels.backend import gtree_path
 from repro.road.network import RoadNetwork, SpatialPoint
 
 INF = math.inf
@@ -105,33 +105,32 @@ class GTree:
         The indexed network (kept by reference; do not mutate afterwards).
     leaf_size:
         Maximum number of vertices per leaf node.
-    backend:
-        ``"flat"`` assembles the distance matrices with the vectorized
-        kernels (dense min-plus all-pairs per node instead of a python
-        Dijkstra per border) on the road's cached CSR view;
-        ``"python"`` keeps the original per-border loops; ``"auto"``
-        picks by network size.  Matrices are equal up to floating-point
-        associativity of path sums.
+
+    Road networks of :data:`~repro.kernels.backend.FLAT_MIN_VERTICES`
+    or more vertices assemble the distance matrices with the vectorized
+    kernels (dense min-plus all-pairs per node instead of a python
+    Dijkstra per border) on the road's cached CSR view; smaller ones
+    keep the per-border loops (:func:`~repro.kernels.backend.gtree_path`).
+    Matrices are equal up to floating-point associativity of path sums.
     """
 
-    def __init__(
-        self,
-        road: RoadNetwork,
-        leaf_size: int = 64,
-        backend: str = "auto",
-    ) -> None:
+    def __init__(self, road: RoadNetwork, leaf_size: int = 64) -> None:
         if leaf_size < 2:
             raise GraphError(f"leaf_size must be >= 2, got {leaf_size}")
         self._road = road
         self._leaf_size = leaf_size
-        self.backend = resolve_backend(backend, road.num_vertices)
-        self._flat = road.flat() if self.backend == "flat" else None
+        self._flat = self._flat_view(road)
         self._nodes: list[_Node] = []
         self._leaf_of: dict[int, int] = {}
         # border vertex -> [(node index, )] where it appears in a matrix
         self._border_nodes: dict[int, list[int]] = {}
         if road.num_vertices:
             self._build()
+
+    @staticmethod
+    def _flat_view(road: RoadNetwork):
+        """The road's CSR view when the flat kernels run, else None."""
+        return road.flat() if gtree_path(road.num_vertices) == "flat" else None
 
     # ------------------------------------------------------------------
     # construction
@@ -363,19 +362,12 @@ class GTree:
         road: RoadNetwork,
         state: dict,
         leaf_size: int,
-        backend: str,
     ) -> GTree:
-        """Rebuild an index from :meth:`to_state` arrays (no matrix builds).
-
-        ``backend`` must be the *resolved* selector recorded at save time
-        (it only governs how post-load queries run their local leaf
-        Dijkstras, not the restored matrices).
-        """
+        """Rebuild an index from :meth:`to_state` arrays (no matrix builds)."""
         self = cls.__new__(cls)
         self._road = road
         self._leaf_size = leaf_size
-        self.backend = backend
-        self._flat = road.flat() if backend == "flat" else None
+        self._flat = self._flat_view(road)
         parent = state["parent"].tolist()
         is_leaf = state["is_leaf"].tolist()
         vert_ptr = state["vert_ptr"].tolist()

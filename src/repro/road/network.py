@@ -160,9 +160,9 @@ class RoadNetwork:
 
         Built on first use and invalidated by topology mutations (a
         weight-only :meth:`add_edge` on an existing edge patches the
-        cached weight array in place instead); shared by every
-        flat-backend shortest-path call so the conversion cost is paid
-        once per network, not per query.  Concurrent first calls may
+        cached weight array in place instead); shared by every flat
+        G-tree build and query so the conversion cost is paid once per
+        network, not per query.  Concurrent first calls may
         race to build — both produce identical snapshots, so the benign
         race only wastes one build.
         """

@@ -13,7 +13,9 @@ Requests travel as the obvious JSON spelling of :class:`MACRequest`:
 ``query``/``k``/``t``/``region`` are required (``region`` is an object
 with ``lows``/``highs`` arrays), every other engine knob is optional
 and validated server-side by ``MACRequest.make`` — an unknown field is
-a typed ``QueryError`` (HTTP 400), never a silent drop.
+a typed ``QueryError`` (HTTP 400), never a silent drop.  The one
+exception is the removed ``backend`` knob, which v3 still accepts and
+drops (see :data:`LEGACY_BACKENDS`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ from repro.geometry.region import PreferenceRegion
 #: ``delta_seq``, telemetry ``mutations`` / ``mutations_by_kind`` /
 #: ``cache_evicted_by_mutation``).
 PROTOCOL_VERSION = 3
+
+#: Values of the request ``backend`` field that protocol v3 accepts and
+#: drops.  The input picks the compute path now, so the field cannot
+#: change the answer or the result-cache identity; any other value is
+#: still a 400 ``QueryError``.
+LEGACY_BACKENDS = ("auto", "flat", "python")
 
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 8321
@@ -126,6 +134,11 @@ def request_from_wire(obj) -> MACRequest:
         raise QueryError("request field 'query' must be an array of user ids")
     k = data.pop("k")
     t = data.pop("t")
+    backend = data.pop("backend", "auto")
+    if backend not in LEGACY_BACKENDS:
+        raise QueryError(
+            f"unknown backend {backend!r}; expected one of {LEGACY_BACKENDS}"
+        )
     try:
         return MACRequest.make(query, k, t, region, **data)
     except ReproError:

@@ -120,22 +120,17 @@ class RoadSocialNetwork:
         self._gtree_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def build_gtree(
-        self, leaf_size: int = 64, backend: str = "auto"
-    ) -> GTree:
+    def build_gtree(self, leaf_size: int = 64) -> GTree:
         """Build (and cache) the G-tree range-query accelerator.
 
         Thread-safe and idempotent: concurrent callers (e.g. engine
-        batch workers) share one build; ``leaf_size`` and ``backend``
-        (matrix-assembly kernels, see :class:`~repro.road.gtree.GTree`)
-        only apply to the first construction.
+        batch workers) share one build; ``leaf_size`` only applies to
+        the first construction.
         """
         if self._gtree is None:
             with self._gtree_lock:
                 if self._gtree is None:
-                    self._gtree = GTree(
-                        self.road, leaf_size=leaf_size, backend=backend
-                    )
+                    self._gtree = GTree(self.road, leaf_size=leaf_size)
         return self._gtree
 
     @property
@@ -166,7 +161,6 @@ class RoadSocialNetwork:
         query: Iterable[int],
         t: float,
         use_gtree: bool = False,
-        backend: str = "auto",
     ) -> dict[int, float]:
         """Users v with ``D_Q(v) <= t`` mapped to ``D_Q(v)`` (Lemma 1)."""
         q_list = list(query)
@@ -176,13 +170,13 @@ class RoadSocialNetwork:
             if q not in self.social.graph:
                 raise QueryError(f"query user {q!r} not in social network")
         q_points = [self.social.location(q) for q in q_list]
-        gtree = self.build_gtree(backend=backend) if use_gtree else None
+        gtree = self.build_gtree() if use_gtree else None
         dmaps: list[tuple[SpatialPoint, dict[int, float]]] = []
         for p in q_points:
             if gtree is not None:
                 dmap = gtree.range_query(p, t)
             else:
-                dmap = bounded_dijkstra(self.road, p, t, backend=backend)
+                dmap = bounded_dijkstra(self.road, p, t)
             dmaps.append((p, dmap))
         kept: dict[int, float] = {}
         for v in self.social.graph.vertices():
@@ -206,7 +200,6 @@ class RoadSocialNetwork:
         k: int,
         t: float,
         use_gtree: bool = False,
-        backend: str = "auto",
     ) -> KTCore | None:
         """The maximal (k,t)-core H^t_k for Q, or None when it is empty."""
         q_list = list(query)
@@ -214,9 +207,7 @@ class RoadSocialNetwork:
             raise QueryError(f"k must be non-negative, got {k}")
         if t < 0:
             raise QueryError(f"t must be non-negative, got {t}")
-        dq = self.query_distance_filter(
-            q_list, t, use_gtree=use_gtree, backend=backend
-        )
+        dq = self.query_distance_filter(q_list, t, use_gtree=use_gtree)
         if any(q not in dq for q in q_list):
             return None
         filtered = self.social.graph.subgraph(dq)
@@ -225,7 +216,7 @@ class RoadSocialNetwork:
         )
         if k > bound:
             return None
-        coreness = core_decomposition(filtered, backend=backend)
+        coreness = core_decomposition(filtered)
         return kt_core_from_coreness(filtered, coreness, dq, q_list, k)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

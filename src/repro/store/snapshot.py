@@ -10,8 +10,8 @@ after :func:`load_snapshot` performs zero index builds.
 Format (one snapshot = one directory)::
 
     <snapshot>/
-      manifest.json   format version, dataset fingerprint, backend,
-                      engine configuration, per-entry keys + metadata
+      manifest.json   format version, dataset fingerprint, engine
+                      configuration, per-entry keys + metadata
       arrays.npz      every numeric payload, keyed ``<component>.<field>``
       deltas.jsonl    optional append-only mutation log (one batch per
                       line); replayed by :func:`load_snapshot` to
@@ -57,7 +57,8 @@ from repro.social.roadsocial import KTCore, RoadSocialNetwork
 from repro.store.fingerprint import network_fingerprint
 
 #: Bump on any incompatible change to the manifest or array layout.
-FORMAT_VERSION = 1
+#: v2: stage-cache keys and the manifest carry no compute backend.
+FORMAT_VERSION = 2
 
 FORMAT_NAME = "repro-index-snapshot"
 
@@ -102,21 +103,17 @@ def _graph_from_arrays(
 
 
 def _filter_key_json(key: tuple) -> dict:
-    query, t, backend = key
-    return {"query": list(query), "t": t, "backend": backend}
+    query, t = key
+    return {"query": list(query), "t": t}
 
 
 def _filter_key_from_json(entry: dict) -> tuple:
-    return (
-        tuple(int(v) for v in entry["query"]),
-        float(entry["t"]),
-        str(entry["backend"]),
-    )
+    return (tuple(int(v) for v in entry["query"]), float(entry["t"]))
 
 
 def _core_key_json(key: tuple) -> dict:
-    query, k, t, backend = key
-    return {"query": list(query), "k": k, "t": t, "backend": backend}
+    query, k, t = key
+    return {"query": list(query), "k": k, "t": t}
 
 
 def _core_key_from_json(entry: dict) -> tuple:
@@ -124,18 +121,16 @@ def _core_key_from_json(entry: dict) -> tuple:
         tuple(int(v) for v in entry["query"]),
         int(entry["k"]),
         float(entry["t"]),
-        str(entry["backend"]),
     )
 
 
 def _dominance_key_json(key: tuple) -> dict:
-    query, k, t, region, backend = key
+    query, k, t, region = key
     return {
         "query": list(query),
         "k": k,
         "t": t,
         "region": [list(region[0]), list(region[1])],
-        "backend": backend,
     }
 
 
@@ -149,7 +144,6 @@ def _dominance_key_from_json(entry: dict) -> tuple:
             tuple(float(x) for x in lows),
             tuple(float(x) for x in highs),
         ),
-        str(entry["backend"]),
     )
 
 
@@ -210,7 +204,6 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
             arrays[f"gtree.{name}"] = arr
         components["gtree"] = {
             "leaf_size": gtree.leaf_size,
-            "backend": gtree.backend,
             "nodes": gtree.num_nodes,
             "leaves": gtree.num_leaves,
         }
@@ -270,7 +263,6 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
         entry = _dominance_key_json(key)
         entry["vertices"] = gd.num_vertices
         entry["arcs"] = gd.num_arcs()
-        entry["dg_backend"] = gd.backend
         dominance_entries.append(entry)
     components["dominance"] = dominance_entries
 
@@ -281,10 +273,8 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
         "numpy_version": np.__version__,
         "fingerprint": network_fingerprint(network),
         "compressed": bool(compress),
-        "backend": engine._default_backend,
         "engine": {
             "default_use_gtree": engine._default_use_gtree,
-            "default_backend": engine._default_backend,
             "gtree_leaf_size": engine.gtree_leaf_size,
             "auto_local_threshold": engine.auto_local_threshold,
             "filter_cache_size": engine._filter_cache.capacity,
@@ -656,7 +646,6 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
     cfg = manifest.get("engine", {})
     kwargs: dict[str, Any] = {
         "use_gtree": cfg.get("default_use_gtree", "auto"),
-        "backend": cfg.get("default_backend", "auto"),
         "gtree_leaf_size": cfg.get("gtree_leaf_size", 64),
         "auto_local_threshold": cfg.get("auto_local_threshold", 256),
         "filter_cache_size": cfg.get("filter_cache_size", 128),
@@ -694,7 +683,6 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
                 network.road,
                 state,
                 leaf_size=int(meta["leaf_size"]),
-                backend=str(meta["backend"]),
             )
 
         engine = MACEngine(network, **kwargs)
@@ -754,7 +742,6 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
                 PreferenceRegion(lows, highs),
                 order,
                 parents,
-                backend=entry.get("dg_backend", "auto"),
             )
             engine._gd_cache.put(key, gd)
 

@@ -11,9 +11,12 @@ v4 ≻ v1 and v3 ≻ v7 and the initial leaf set {v7, v5, v1} of Section V-B.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.kernels.backend as paths
 from repro.geometry.region import PreferenceRegion
 from repro.graph.adjacency import AdjacencyGraph
 from repro.road.network import RoadNetwork, SpatialPoint
@@ -117,3 +120,37 @@ def random_graph(
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+@pytest.fixture
+def force_path(monkeypatch):
+    """Force the size rules of :mod:`repro.kernels.backend` to one side.
+
+    ``force_path("flat")`` puts every input on the flat side of each rule
+    (stage kernels, G-tree, global-search loop); ``force_path("python")``
+    on the python side; ``force_path(None)`` restores the size rules.
+    Call it again to switch sides within a test: the rules read their
+    constants when called, so an engine follows the side forced when it
+    builds each stage.
+    """
+    sized = (paths.FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE)
+
+    def force(side: str | None) -> None:
+        flat_min, gs_min = {
+            "flat": (0, 0),
+            "python": (sys.maxsize, sys.maxsize),
+            None: sized,
+        }[side]
+        monkeypatch.setattr(paths, "FLAT_MIN_VERTICES", flat_min)
+        monkeypatch.setattr(paths, "GS_FLAT_MIN_CORE", gs_min)
+
+    return force
+
+
+def on_both_sides(force, fn, *args, **kwargs) -> tuple:
+    """``fn(*args, **kwargs)`` forced flat, then forced python."""
+    out = []
+    for side in ("flat", "python"):
+        force(side)
+        out.append(fn(*args, **kwargs))
+    return tuple(out)

@@ -64,6 +64,24 @@ class TestRegistry:
         assert len(q) == 4
         assert ds.network.maximal_kt_core(q, 6, ds.default_t) is not None
 
+    @pytest.mark.parametrize("name,scale,expected", [
+        ("sf+slashdot", 0.1, [(247,), (134, 226), (49, 68, 180, 201),
+                              (48, 52, 242)]),
+        ("fl+yelp", 0.5, [(3184,), (1709, 2006), (440, 530, 1260, 2038),
+                          (367, 851, 3142)]),
+    ])
+    def test_suggested_queries_are_pinned(self, name, scale, expected):
+        # Suggested queries seed benchmarks and examples: they must stay
+        # byte-identical whatever path the kernels take (the draw walks
+        # the python peel's neighbor sets).  Pinned from the release
+        # that still had per-request compute backends.
+        ds = load_dataset(name, scale=scale, seed=7)
+        got = [
+            ds.suggest_query(size, k=k, seed=seed)
+            for size, k, seed in ((1, 4, 0), (2, 4, 1), (4, 6, 1), (3, 5, 2))
+        ]
+        assert got == expected
+
     def test_statistics_row(self):
         row = dataset_statistics("sf+slashdot", scale=0.05, seed=1)
         assert row["dataset"] == "sf+slashdot"

@@ -252,9 +252,7 @@ class TestExplain:
         engine.warm(MACRequest.make([2, 3, 6], 3, 9.0, paper_region))
         engine.clear_caches()
         # re-warm only the filter stage, leaving core/result cold
-        engine._prepared_filter(
-            request, False, engine._resolve_backend(request), {}, {}
-        )
+        engine._prepared_filter(request, False, {}, {})
         plan = engine.explain(request)
         assert plan.cached["filter"] and not plan.cached["core"]
         # a bound-based resolution must say "bound", not claim exactness

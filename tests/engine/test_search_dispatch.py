@@ -1,10 +1,10 @@
-"""The search-loop dispatch contract of ``backend="auto"``.
+"""The search-loop dispatch contract.
 
-An ``auto`` request runs the global search on the set-based loop below
-``AUTO_GS_FLAT_MIN_CORE`` vertices of H^t_k and on the flat CSR loop at
-or above it; an explicit ``"flat"``/``"python"`` is obeyed as given.  The
+A request runs the global search on the set-based loop below
+``GS_FLAT_MIN_CORE`` vertices of H^t_k and on the flat CSR loop at or
+above it; a side forced through the ``force_path`` seam is obeyed.  The
 answers never depend on the loop: partitions are bit-identical across
-``auto``, ``flat`` and ``python`` on the served request shapes.
+the size rules and both forced sides on the served request shapes.
 """
 
 import pytest
@@ -35,8 +35,7 @@ def small_request(yelp, **knobs):
 
 
 def core_state(engine, request):
-    stage = engine._resolve_backend(request)
-    state, hit = engine._core_cache.peek(request.core_key + (stage,))
+    state, hit = engine._core_cache.peek(request.core_key)
     assert hit
     return state
 
@@ -51,8 +50,8 @@ class TestDispatch:
         engine = MACEngine(yelp[0].network)
         result, state = run(engine, small_request(yelp))
         size = state.core.num_vertices
-        assert size < backend_module.AUTO_GS_FLAT_MIN_CORE
-        assert engine._resolve_backend(small_request(yelp)) == "flat"
+        assert size < backend_module.GS_FLAT_MIN_CORE
+        assert engine._stage_path() == "flat"
         assert state.search_flat is None
         assert result.extra["engine"]["search_backend"] == "python"
 
@@ -61,7 +60,7 @@ class TestDispatch:
         probe = MACEngine(yelp[0].network)
         size = run(probe, small_request(yelp))[1].core.num_vertices
         monkeypatch.setattr(
-            backend_module, "AUTO_GS_FLAT_MIN_CORE", size + offset
+            backend_module, "GS_FLAT_MIN_CORE", size + offset
         )
         engine = MACEngine(yelp[0].network)
         result, state = run(engine, small_request(yelp))
@@ -69,17 +68,16 @@ class TestDispatch:
         assert (state.search_flat is not None) == (expected == "flat")
 
     @pytest.mark.parametrize("backend", ["flat", "python"])
-    def test_explicit_backend_is_obeyed(self, yelp, monkeypatch, backend):
-        # Put every core on the flat side of the auto rule, so "python"
-        # could only run the set loop because it was asked to.
-        monkeypatch.setattr(backend_module, "AUTO_GS_FLAT_MIN_CORE", 1)
+    def test_explicit_backend_is_obeyed(self, yelp, force_path, backend):
+        force_path(backend)
         engine = MACEngine(yelp[0].network)
-        result, state = run(engine, small_request(yelp, backend=backend))
+        result, state = run(engine, small_request(yelp))
         assert result.extra["engine"]["search_backend"] == backend
         assert (state.search_flat is not None) == (backend == "flat")
 
-    def test_engine_default_is_obeyed(self, yelp):
-        engine = MACEngine(yelp[0].network, backend="flat")
+    def test_engine_default_is_obeyed(self, yelp, force_path):
+        force_path("flat")
+        engine = MACEngine(yelp[0].network)
         result, state = run(engine, small_request(yelp))
         assert result.extra["engine"]["search_backend"] == "flat"
         assert state.search_flat is not None
@@ -118,17 +116,17 @@ def served_shapes(yelp):
 
 
 @pytest.mark.parametrize("problem,j", [("nc", 1), ("topj", 2)])
-def test_partitions_identical_across_backends(yelp, problem, j):
+def test_partitions_identical_across_backends(yelp, force_path, problem, j):
     ds, _t, region = yelp
-    engine = MACEngine(ds.network)
     algorithms = set()
     answered = 0
     for _cls, query, k, t, algorithm in served_shapes(yelp):
         outcomes = []
-        for backend in ("auto", "flat", "python"):
-            result = engine.search(MACRequest.make(
+        for side in (None, "flat", "python"):
+            force_path(side)
+            result = MACEngine(ds.network).search(MACRequest.make(
                 query, k, t, region, algorithm=algorithm,
-                problem=problem, j=j, backend=backend,
+                problem=problem, j=j,
             ))
             algorithms.add(result.extra["engine"]["algorithm"])
             outcomes.append(signature(result.partitions))

@@ -1,8 +1,9 @@
-"""Backend equivalence: core decomposition, peeling, components.
+"""Path equivalence: core decomposition, peeling, components.
 
 The flat (batch-peeled, array-BFS) and python (position-swap bucket,
-cascade) backends must return identical coreness maps, k-cores, and
-query-anchored k-ĉores on random graphs and the bundled datasets.
+cascade) paths must return identical coreness maps, k-cores, and
+query-anchored k-ĉores on random graphs and the bundled datasets.  Each
+check forces both sides with the ``force_path`` seam.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import random_graph
+from tests.conftest import on_both_sides, random_graph
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.core import (
     core_decomposition,
@@ -33,91 +34,86 @@ def graphs_equal(a: AdjacencyGraph | None, b: AdjacencyGraph | None) -> bool:
 
 class TestCoreDecomposition:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_graphs(self, seed):
+    def test_random_graphs(self, seed, force_path):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 160))
         g = random_graph(n, float(rng.uniform(0.01, 0.2)), seed)
-        assert core_decomposition(g, backend="flat") == \
-            core_decomposition(g, backend="python")
+        flat, python = on_both_sides(force_path, core_decomposition, g)
+        assert flat == python
 
-    def test_path_graph_long_cascade(self):
+    def test_path_graph_long_cascade(self, force_path):
         # Worst case for batch peeling (one cascade round per vertex)
         # and for the old bucket layout (every edge appended an entry).
         g = AdjacencyGraph([(i, i + 1) for i in range(500)])
-        flat = core_decomposition(g, backend="flat")
-        python = core_decomposition(g, backend="python")
+        flat, python = on_both_sides(force_path, core_decomposition, g)
         assert flat == python
         assert set(flat.values()) == {1}
 
-    def test_complete_graph(self):
+    def test_complete_graph(self, force_path):
         n = 12
         g = AdjacencyGraph(
             [(i, j) for i in range(n) for j in range(i + 1, n)]
         )
-        for backend in ("flat", "python"):
-            core = core_decomposition(g, backend=backend)
+        for core in on_both_sides(force_path, core_decomposition, g):
             assert set(core.values()) == {n - 1}
 
-    def test_isolated_vertices(self):
+    def test_isolated_vertices(self, force_path):
         g = AdjacencyGraph([(0, 1)])
         g.add_vertex(99)
-        for backend in ("flat", "python"):
-            assert core_decomposition(g, backend=backend) == {
+        for core in on_both_sides(force_path, core_decomposition, g):
+            assert core == {
                 0: 1, 1: 1, 99: 0,
             }
 
-    def test_bundled_dataset(self, small_dataset):
+    def test_bundled_dataset(self, small_dataset, force_path):
         g = small_dataset.network.social.graph
-        assert core_decomposition(g, backend="flat") == \
-            core_decomposition(g, backend="python")
+        flat, python = on_both_sides(force_path, core_decomposition, g)
+        assert flat == python
 
     def test_unknown_backend_rejected(self):
-        from repro.errors import GraphError
-
-        with pytest.raises(GraphError):
+        # The input picks the path: there is no backend option to pass.
+        with pytest.raises(TypeError):
             core_decomposition(AdjacencyGraph([(0, 1)]), backend="numpy")
 
 
 class TestPeeling:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
-    def test_peel_matches(self, seed, k):
+    def test_peel_matches(self, seed, k, force_path):
         g = random_graph(80, 0.08, seed)
-        assert graphs_equal(
-            peel_to_k_core(g, k, backend="flat"),
-            peel_to_k_core(g, k, backend="python"),
-        )
+        assert graphs_equal(*on_both_sides(force_path, peel_to_k_core, g, k))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_k_core_containing_matches(self, seed):
+    def test_k_core_containing_matches(self, seed, force_path):
         rng = np.random.default_rng(100 + seed)
         g = random_graph(80, 0.08, seed)
         verts = sorted(g.vertices())
         query = [int(v) for v in rng.choice(verts, size=2, replace=False)]
         for k in (1, 2, 3, 4):
             assert graphs_equal(
-                k_core_containing(g, query, k, backend="flat"),
-                k_core_containing(g, query, k, backend="python"),
+                *on_both_sides(force_path, k_core_containing, g, query, k)
             )
 
-    def test_negative_k_rejected_on_both_backends(self):
+    def test_negative_k_rejected_on_both_backends(self, force_path):
         from repro.errors import GraphError
 
         g = random_graph(20, 0.2, 0)
-        for backend in ("flat", "python"):
+        for side in ("flat", "python"):
+            force_path(side)
             with pytest.raises(GraphError):
-                peel_to_k_core(g, -1, backend=backend)
+                peel_to_k_core(g, -1)
             with pytest.raises(GraphError):
-                k_core_containing(g, [0], -1, backend=backend)
+                k_core_containing(g, [0], -1)
             with pytest.raises(GraphError):
-                k_cores_containing(g, [0], [2, -1], backend=backend)
+                k_cores_containing(g, [0], [2, -1])
 
-    def test_batched_matches_single(self, small_dataset):
+    def test_batched_matches_single(self, small_dataset, force_path):
         g = small_dataset.network.social.graph
         query = sorted(g.vertices())[:2]
         ks = (1, 2, 4, 6, 50)
-        for backend in ("flat", "python"):
-            batched = k_cores_containing(g, query, ks, backend=backend)
+        for side in ("flat", "python"):
+            force_path(side)
+            batched = k_cores_containing(g, query, ks)
             assert set(batched) == set(ks)
             for k in ks:
                 assert graphs_equal(

@@ -1,8 +1,10 @@
-"""Backend equivalence: bounded Dijkstra and G-tree range machinery.
+"""Dijkstra equivalence: the heap loop against the flat oracle.
 
-Flat distance maps must match the dict-based reference exactly in
-reached-vertex sets and up to float associativity in values — including
-mid-edge ``SpatialPoint`` sources and the ``D_Q`` aggregation.
+The production heap loop over the road's dict adjacency must match an
+independent list-indexed Dijkstra over the CSR rows
+(``tests/oracles/dijkstra.py``) exactly in reached-vertex sets and up
+to float associativity in values — including mid-edge
+``SpatialPoint`` sources and the ``D_Q`` aggregation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 from tests.conftest import paper_road
 from tests.kernels.conftest import random_road
+from tests.oracles import dijkstra as oracle
 from repro.road.dijkstra import (
     bounded_dijkstra,
     dijkstra,
@@ -40,8 +43,8 @@ class TestBoundedDijkstra:
             src = int(rng.integers(120))
             bound = float(rng.uniform(2.0, 40.0))
             assert_dist_maps_equal(
-                bounded_dijkstra(road, src, bound, backend="flat"),
-                bounded_dijkstra(road, src, bound, backend="python"),
+                oracle.bounded_dijkstra(road, src, bound),
+                bounded_dijkstra(road, src, bound),
             )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -53,27 +56,27 @@ class TestBoundedDijkstra:
         p = SpatialPoint.on_edge(u, v, road.weight(u, v) * 0.4)
         for bound in (5.0, 25.0, INF):
             assert_dist_maps_equal(
-                bounded_dijkstra(road, p, bound, backend="flat"),
-                bounded_dijkstra(road, p, bound, backend="python"),
+                oracle.bounded_dijkstra(road, p, bound),
+                bounded_dijkstra(road, p, bound),
             )
 
     def test_unbounded_reaches_component(self):
         road = paper_road()
-        flat = dijkstra(road, 1, backend="flat")
-        python = dijkstra(road, 1, backend="python")
+        flat = oracle.bounded_dijkstra(road, 1)
+        python = dijkstra(road, 1)
         assert_dist_maps_equal(flat, python)
         assert set(flat) == set(road.vertices())
 
     def test_disconnected_vertices_absent(self):
         road = paper_road()
         road.add_vertex(99)
-        flat = dijkstra(road, 1, backend="flat")
-        assert 99 not in flat
+        assert 99 not in dijkstra(road, 1)
+        assert 99 not in oracle.bounded_dijkstra(road, 1)
 
     def test_zero_bound(self):
         road = paper_road()
-        assert bounded_dijkstra(road, 1, 0.0, backend="flat") == \
-            bounded_dijkstra(road, 1, 0.0, backend="python") == {1: 0.0}
+        assert oracle.bounded_dijkstra(road, 1, 0.0) == \
+            bounded_dijkstra(road, 1, 0.0) == {1: 0.0}
 
 
 class TestMaskedDijkstra:
@@ -93,18 +96,19 @@ class TestMaskedDijkstra:
         # full mask == unrestricted reachability
         full = masked_dijkstra_rows(fg, src, np.ones(fg.n, dtype=bool))
         assert set(full) == set(
-            fg.row_of(v) for v in dijkstra(road, src, backend="python")
+            fg.row_of(v) for v in dijkstra(road, src)
         )
         assert isinstance(FlatGraph.from_road(road), FlatGraph)
 
     def test_auto_backend_keeps_python_path(self):
-        # Dijkstra's "auto" must resolve to python (flat measures
-        # break-even on road shapes) — same values either way.
+        # Dijkstra always runs the heap loop (a CSR variant measures
+        # break-even on road shapes): it never builds the road's CSR.
         road = random_road(100, 50, 3)
         assert_dist_maps_equal(
-            bounded_dijkstra(road, 0, 30.0),  # auto
-            bounded_dijkstra(road, 0, 30.0, backend="python"),
+            bounded_dijkstra(road, 0, 30.0),
+            oracle.bounded_dijkstra(random_road(100, 50, 3), 0, 30.0),
         )
+        assert road._flat is None
 
 
 class TestAggregates:
@@ -113,36 +117,39 @@ class TestAggregates:
         rng = np.random.default_rng(5)
         for _ in range(5):
             a, b = (int(x) for x in rng.integers(60, size=2))
-            assert network_distance(road, a, b, backend="flat") == \
-                pytest.approx(
-                    network_distance(road, a, b, backend="python"),
-                    rel=1e-9,
-                )
+            assert network_distance(road, a, b) == pytest.approx(
+                oracle.bounded_dijkstra(road, a).get(b, INF), rel=1e-9
+            )
 
     def test_same_edge_points(self):
         road = paper_road()
         a = SpatialPoint.on_edge(2, 3, 1.0)
         b = SpatialPoint.on_edge(3, 2, 1.5)  # same edge, other end
-        for backend in ("flat", "python"):
-            d = network_distance(road, a, b, backend=backend)
-            assert d == pytest.approx(1.5)
+        assert network_distance(road, a, b) == pytest.approx(1.5)
 
     def test_query_distances_matches(self):
         road = random_road(100, 50, 9)
         points = [SpatialPoint.at_vertex(3), SpatialPoint.at_vertex(77)]
         for bound in (10.0, 30.0):
+            maps = [oracle.bounded_dijkstra(road, p, bound) for p in points]
             assert_dist_maps_equal(
-                query_distances(road, points, bound, backend="flat"),
-                query_distances(road, points, bound, backend="python"),
+                {v: max(m[v] for m in maps)
+                 for v in set(maps[0]).intersection(*maps[1:])},
+                query_distances(road, points, bound),
             )
 
-    def test_lemma1_filter_matches(self, small_dataset):
+    def test_lemma1_filter_matches(self, small_dataset, monkeypatch):
+        import repro.social.roadsocial as roadsocial
+
         net = small_dataset.network
         q = small_dataset.suggest_query(
             2, k=4, t=small_dataset.default_t
         )
         for t in (small_dataset.default_t, small_dataset.default_t / 2):
-            assert_dist_maps_equal(
-                net.query_distance_filter(q, t, backend="flat"),
-                net.query_distance_filter(q, t, backend="python"),
-            )
+            python = net.query_distance_filter(q, t)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    roadsocial, "bounded_dijkstra", oracle.bounded_dijkstra
+                )
+                flat = net.query_distance_filter(q, t)
+            assert_dist_maps_equal(flat, python)

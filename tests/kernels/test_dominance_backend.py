@@ -1,9 +1,10 @@
-"""Backend equivalence: r-dominance graph construction.
+"""Oracle equivalence: r-dominance graph construction.
 
-The flat build (one (n, p) corner-score matrix, CSR parent gathers)
+The matrix build (one (n, p) corner-score matrix, CSR parent gathers)
 must produce the *identical* Hasse DAG — same insertion order, parents,
-children, roots, and layers — as the pairwise python reference, on
-random attribute sets, degenerate ties, and the bundled datasets.
+children, roots, and layers — as the pairwise python reference of
+``tests/oracles/dominance.py``, on random attribute sets, degenerate
+ties, and the bundled datasets.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from tests.conftest import paper_attributes
+from tests.oracles.dominance import ReferenceDominanceGraph
 from repro.dominance.graph import DominanceGraph, build_dominance_graph
-from repro.errors import GraphError
 from repro.geometry.region import PreferenceRegion
 
 
@@ -29,8 +30,8 @@ def assert_same_dag(a: DominanceGraph, b: DominanceGraph) -> None:
 
 def build_pair(attrs, region, use_rtree=True):
     return (
-        DominanceGraph(attrs, region, use_rtree=use_rtree, backend="flat"),
-        DominanceGraph(attrs, region, use_rtree=use_rtree, backend="python"),
+        DominanceGraph(attrs, region, use_rtree=use_rtree),
+        ReferenceDominanceGraph(attrs, region, use_rtree=use_rtree),
     )
 
 
@@ -61,7 +62,7 @@ class TestEquivalence:
 
     def test_score_ties(self):
         # Identical attribute vectors r-dominate each other; the DAG
-        # orients ties by insertion order in both backends.
+        # orients ties by insertion order in both builds.
         attrs = {
             0: np.asarray([2.0, 3.0, 1.0]),
             1: np.asarray([2.0, 3.0, 1.0]),
@@ -112,9 +113,8 @@ class TestEquivalence:
         rng = np.random.default_rng(0)
         attrs = {v: rng.uniform(0, 5, size=2) for v in range(10)}
         region = PreferenceRegion([0.2], [0.4])
-        gd = build_dominance_graph(
-            list(range(10)), attrs, region, backend="flat"
-        )
+        gd = build_dominance_graph(list(range(10)), attrs, region)
         assert gd.num_vertices == 10
-        with pytest.raises(GraphError):
+        # The matrix build is the only one: there is no backend option.
+        with pytest.raises(TypeError):
             DominanceGraph(attrs, region, backend="vectorized")

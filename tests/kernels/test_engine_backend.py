@@ -1,10 +1,18 @@
-"""Engine-level backend selection, equivalence, and stage telemetry."""
+"""Engine-level path equivalence and stage telemetry.
+
+Each equivalence check runs one engine per side of the ``force_path``
+seam and compares their answers.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from tests.conftest import paper_network, paper_region  # noqa: F401 (fixtures)
+from tests.conftest import (  # noqa: F401 (fixtures)
+    on_both_sides,
+    paper_network,
+    paper_region,
+)
 from repro import MACEngine, MACRequest
 from repro.errors import QueryError
 
@@ -17,16 +25,21 @@ def result_signature(result):
     ]
 
 
-def make_engines(network):
-    return (
-        MACEngine(network, backend="flat"),
-        MACEngine(network, backend="python"),
+def search_both(force_path, network, request):
+    """``request`` answered forced flat, then forced python."""
+    results = on_both_sides(
+        force_path, lambda: MACEngine(network).search(request)
     )
+    assert [r.extra["engine"]["backend"] for r in results] == [
+        "flat", "python",
+    ]
+    return results
 
 
 class TestBackendEquivalence:
-    def test_search_results_identical(self, paper_network, paper_region):
-        flat_engine, python_engine = make_engines(paper_network)
+    def test_search_results_identical(
+        self, paper_network, paper_region, force_path
+    ):
         for problem, j, algorithm in (
             ("nc", 1, "global"),
             ("nc", 1, "local"),
@@ -36,53 +49,26 @@ class TestBackendEquivalence:
                 [2, 3, 6], 3, 9.0, paper_region,
                 j=j, problem=problem, algorithm=algorithm,
             )
-            a = flat_engine.search(request)
-            b = python_engine.search(request)
+            a, b = search_both(force_path, paper_network, request)
             assert a.htk_vertices == b.htk_vertices
             assert a.htk_edges == b.htk_edges
             assert result_signature(a) == result_signature(b)
 
-    def test_dataset_equivalence(self, small_dataset):
+    def test_dataset_equivalence(self, small_dataset, force_path):
         from repro.cli import resolve_search_defaults
 
         ds = small_dataset
         t, region = resolve_search_defaults(ds, 0.1, 3)
         q = ds.suggest_query(2, k=4, t=t)
-        flat_engine, python_engine = make_engines(ds.network)
         request = MACRequest.make(q, 4, t, region, algorithm="local")
-        a = flat_engine.search(request)
-        b = python_engine.search(request)
+        a, b = search_both(force_path, ds.network, request)
         assert a.htk_vertices == b.htk_vertices
         assert result_signature(a) == result_signature(b)
 
-    def test_request_backend_overrides_engine(
-        self, paper_network, paper_region
-    ):
-        engine = MACEngine(paper_network, backend="python")
-        request = MACRequest.make(
-            [2, 3, 6], 3, 9.0, paper_region, backend="flat"
-        )
-        result = engine.search(request)
-        assert result.extra["engine"]["backend"] == "flat"
-        default = engine.search(
-            MACRequest.make([2, 3, 6], 3, 9.0, paper_region)
-        )
-        assert default.extra["engine"]["backend"] == "python"
-
-    def test_backend_keys_do_not_collide(self, paper_network, paper_region):
-        engine = MACEngine(paper_network)
-        base = dict(query=[2, 3, 6], k=3, t=9.0)
-        engine.search(MACRequest.make(**base, region=paper_region,
-                                      backend="flat"))
-        tel0 = engine.telemetry()
-        engine.search(MACRequest.make(**base, region=paper_region,
-                                      backend="python"))
-        tel1 = engine.telemetry()
-        # the python request cannot reuse flat-backend stage entries
-        assert tel1.filter.misses == tel0.filter.misses + 1
-
     def test_invalid_backends_rejected(self, paper_network, paper_region):
-        with pytest.raises(QueryError):
+        # The input picks the path: neither the engine nor a request
+        # takes a backend option any more.
+        with pytest.raises(TypeError):
             MACEngine(paper_network, backend="fast")
         with pytest.raises(QueryError):
             MACRequest.make([1], 2, 5.0, paper_region, backend="numpy")

@@ -97,8 +97,9 @@ def assert_repaired(new, old, u, v) -> None:
 
 
 @pytest.mark.parametrize("backend", ["python", "flat"])
-def test_held_entries_survive_toggle_storms(backend):
-    engine = MACEngine(make_network(), backend=backend)
+def test_held_entries_survive_toggle_storms(force_path, backend):
+    force_path(backend)
+    engine = MACEngine(make_network())
     for query, t in [((2, 3, 6), 9.0), ((2, 3, 6), 30.0), ((1, 4), 12.0),
                      ((7,), 60.0)]:
         engine.search(MACRequest.make(query, 2, t, REGION, algorithm="global"))

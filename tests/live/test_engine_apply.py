@@ -19,7 +19,7 @@ from tests.conftest import paper_attributes, paper_road, paper_social_graph
 
 REGION = PreferenceRegion([0.1, 0.2], [0.5, 0.4])
 
-BACKENDS = ("python", "flat")
+SIDES = ("python", "flat")
 
 
 def make_network(mutate=None) -> RoadSocialNetwork:
@@ -47,9 +47,10 @@ def stable(result) -> tuple:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_social_edge_batch_matches_rebuild(self, backend):
-        engine = MACEngine(make_network(), backend=backend)
+    @pytest.mark.parametrize("backend", SIDES)
+    def test_social_edge_batch_matches_rebuild(self, force_path, backend):
+        force_path(backend)
+        engine = MACEngine(make_network())
         engine.search(make_request())  # warm every stage
         summary = engine.apply([
             add_social_edge(1, 4), remove_social_edge(2, 5),
@@ -64,22 +65,23 @@ class TestEquivalence:
             network.social.graph.add_edge(1, 4)
             network.social.graph.remove_edge(2, 5)
 
-        reference = MACEngine(make_network(mutate), backend=backend)
+        reference = MACEngine(make_network(mutate))
         request = make_request()
         assert stable(engine.search(request)) == stable(
             reference.search(request)
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_attribute_update_matches_rebuild(self, backend):
-        engine = MACEngine(make_network(), backend=backend)
+    @pytest.mark.parametrize("backend", SIDES)
+    def test_attribute_update_matches_rebuild(self, force_path, backend):
+        force_path(backend)
+        engine = MACEngine(make_network())
         engine.search(make_request())
         engine.apply([update_attributes(3, [9.5, 9.5, 9.5])])
 
         def mutate(network):
             network.social.set_attributes(3, (9.5, 9.5, 9.5))
 
-        reference = MACEngine(make_network(mutate), backend=backend)
+        reference = MACEngine(make_network(mutate))
         request = make_request()
         assert stable(engine.search(request)) == stable(
             reference.search(request)

@@ -40,17 +40,18 @@ def random_walk_steps(graph, rng, steps):
 
 class TestPythonRepair:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_walk_matches_full_repeel(self, seed):
+    def test_random_walk_matches_full_repeel(self, seed, force_path):
+        force_path("python")
         rng = np.random.default_rng(seed)
         graph = random_graph(30, 0.12, seed=seed + 100)
-        coreness = core_decomposition(graph, backend="python")
+        coreness = core_decomposition(graph)
         for u, v, inserted in random_walk_steps(graph, rng, steps=120):
             before = dict(coreness)
             if inserted:
                 changed = repair_insert(graph, coreness, u, v)
             else:
                 changed = repair_delete(graph, coreness, u, v)
-            expected = core_decomposition(graph, backend="python")
+            expected = core_decomposition(graph)
             assert coreness == expected, (seed, u, v, inserted)
             # the delta is exactly the moved vertices, each by one
             moved = {w: c for w, c in expected.items() if before[w] != c}
@@ -59,12 +60,13 @@ class TestPythonRepair:
                 abs(c - before[w]) == 1 for w, c in changed.items()
             )
 
-    def test_insert_into_triangle_promotes_it(self):
+    def test_insert_into_triangle_promotes_it(self, force_path):
+        force_path("python")
         # 4-cycle + chord: adding the second chord lifts all four to core 3
         graph = random_graph(4, 0.0, seed=0)
         for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]:
             graph.add_edge(u, v)
-        coreness = core_decomposition(graph, backend="python")
+        coreness = core_decomposition(graph)
         graph.add_edge(1, 3)
         changed = repair_insert(graph, coreness, 1, 3)
         assert coreness == {0: 3, 1: 3, 2: 3, 3: 3}
@@ -124,10 +126,11 @@ class TestFlatRepair:
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_python_and_flat_walks_agree(self, seed):
+    def test_python_and_flat_walks_agree(self, seed, force_path):
+        force_path("python")
         rng = np.random.default_rng(seed)
         graph = random_graph(25, 0.15, seed=seed)
-        coreness = core_decomposition(graph, backend="python")
+        coreness = core_decomposition(graph)
         fg = FlatGraph.from_adjacency(graph)
         core = core_numbers(fg)
         row_of = {vid: row for row, vid in enumerate(fg.ids)}

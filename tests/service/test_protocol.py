@@ -45,7 +45,7 @@ class TestRequestWire:
         request = MACRequest.make(
             (6, 3, 2), 3, 9.0, region,
             j=2, problem="topj", algorithm="global", use_gtree=True,
-            backend="flat", max_partitions=100, strategy="eq4",
+            max_partitions=100, strategy="eq4",
             max_candidates=5, refinement="envelope", certification="chain",
             time_budget=10.0, deadline=2.5, label="x",
         )

@@ -16,6 +16,7 @@ from repro.errors import (
 )
 from repro.road.network import SpatialPoint
 from repro.service import MACService, ServiceClient
+from repro.service.protocol import request_to_wire, result_from_wire
 from repro.social.network import SocialNetwork
 from repro.social.roadsocial import RoadSocialNetwork
 
@@ -66,6 +67,42 @@ def service():
 def client(service):
     with ServiceClient(port=service.port) as c:
         yield c
+
+
+class TestLegacyBackendField:
+    """Protocol v3 still accepts the removed ``backend`` knob and drops it."""
+
+    def search(self, client, wire):
+        return result_from_wire(
+            client._call("POST", "/v1/search", wire)["result"]
+        )
+
+    def test_backend_is_dropped_from_the_result_identity(self, client):
+        wire = request_to_wire(
+            make_request(algorithm="local", max_candidates=23, label="legacy")
+        )
+        legacy = self.search(client, {**wire, "backend": "python"})
+        assert legacy.extra["engine"]["cache"]["result"] == "miss"
+        plain = self.search(client, wire)
+        assert plain.communities() == legacy.communities()
+        assert plain.extra["engine"]["cache"] == {"result": "hit"}
+
+    def test_unknown_backend_is_a_400_query_error(self, service):
+        wire = request_to_wire(make_request())
+        conn = http.client.HTTPConnection("127.0.0.1", service.port)
+        try:
+            conn.request(
+                "POST", "/v1/search",
+                body=json.dumps({**wire, "backend": "numpy"}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert payload["error"]["type"] == "QueryError"
+        assert "backend" in payload["error"]["message"]
 
 
 class TestEndpoints:

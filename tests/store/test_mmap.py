@@ -20,6 +20,12 @@ def make_network() -> RoadSocialNetwork:
     )
 
 
+@pytest.fixture(autouse=True)
+def flat_side(force_path):
+    """Build every snapshot here on the flat side: CSR payloads to map."""
+    force_path("flat")
+
+
 @pytest.fixture
 def request_() -> MACRequest:
     return MACRequest.make(
@@ -28,7 +34,7 @@ def request_() -> MACRequest:
 
 
 def build_snapshot(tmp_path, request_, compress: bool):
-    engine = MACEngine(make_network(), backend="flat", use_gtree=True)
+    engine = MACEngine(make_network(), use_gtree=True)
     result = engine.search(request_)
     path = tmp_path / ("snap-c" if compress else "snap-u")
     manifest = engine.save(path, compress=compress)

@@ -52,11 +52,15 @@ def request_(region) -> MACRequest:
     return MACRequest.make((2, 3, 6), 3, 9.0, region)
 
 
-def warmed_snapshot(tmp_path, request_, backend: str, use_gtree: bool = True):
+@pytest.fixture(autouse=True)
+def flat_side(force_path):
+    """Snapshot the flat side unless a test forces another."""
+    force_path("flat")
+
+
+def warmed_snapshot(tmp_path, request_, use_gtree: bool = True):
     """Build + search + save; returns (engine, result, snapshot path)."""
-    engine = MACEngine(
-        make_network(), backend=backend, use_gtree=use_gtree
-    )
+    engine = MACEngine(make_network(), use_gtree=use_gtree)
     result = engine.search(request_)
     path = tmp_path / "snap"
     engine.save(path)
@@ -70,9 +74,10 @@ def members(result):
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", ["flat", "python"])
     def test_first_query_after_load_builds_nothing(
-        self, tmp_path, request_, backend
+        self, tmp_path, request_, force_path, backend
     ):
-        _engine, cold, path = warmed_snapshot(tmp_path, request_, backend)
+        force_path(backend)
+        _engine, cold, path = warmed_snapshot(tmp_path, request_)
         engine = MACEngine.load(path, make_network())
         warm = engine.search(request_)
 
@@ -93,13 +98,12 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("backend", ["flat", "python"])
     def test_loaded_engine_matches_fresh_engine(
-        self, tmp_path, request_, region, backend
+        self, tmp_path, request_, region, force_path, backend
     ):
-        _engine, _cold, path = warmed_snapshot(tmp_path, request_, backend)
+        force_path(backend)
+        _engine, _cold, path = warmed_snapshot(tmp_path, request_)
         loaded = MACEngine.load(path, make_network())
-        fresh = MACEngine(
-            make_network(), backend=backend, use_gtree=True
-        )
+        fresh = MACEngine(make_network(), use_gtree=True)
         other = MACRequest.make(
             (2, 3, 6), 3, 9.0, region, j=2, problem="topj"
         )
@@ -107,7 +111,7 @@ class TestRoundTrip:
             assert members(loaded.search(req)) == members(fresh.search(req))
 
     def test_gtree_round_trips(self, tmp_path, request_):
-        engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        engine, _result, path = warmed_snapshot(tmp_path, request_)
         network = make_network()
         MACEngine.load(path, network)
         assert network.has_gtree
@@ -124,7 +128,7 @@ class TestRoundTrip:
 
     def test_infeasible_core_entry_round_trips(self, tmp_path, region):
         impossible = MACRequest.make((2, 3, 6), 9, 9.0, region)
-        engine = MACEngine(make_network(), backend="flat")
+        engine = MACEngine(make_network())
         assert engine.search(impossible).partitions == []
         path = tmp_path / "snap"
         engine.save(path)
@@ -140,7 +144,6 @@ class TestRoundTrip:
     ):
         engine = MACEngine(
             make_network(),
-            backend="python",
             use_gtree=False,
             auto_local_threshold=7,
         )
@@ -148,7 +151,6 @@ class TestRoundTrip:
         path = tmp_path / "snap"
         engine.save(path)
         loaded = MACEngine.load(path, make_network())
-        assert loaded._default_backend == "python"
         assert loaded._default_use_gtree is False
         assert loaded.auto_local_threshold == 7
         overridden = MACEngine.load(
@@ -159,7 +161,7 @@ class TestRoundTrip:
     def test_save_returns_manifest_and_info_reads_back(
         self, tmp_path, request_
     ):
-        engine = MACEngine(make_network(), backend="flat", use_gtree=True)
+        engine = MACEngine(make_network(), use_gtree=True)
         engine.search(request_)
         manifest = engine.save(tmp_path / "snap")
         assert manifest["format_version"] == FORMAT_VERSION
@@ -172,7 +174,7 @@ class TestRoundTrip:
         assert info["files"]["arrays.npz"] > 0
 
     def test_verify_ok_with_and_without_network(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         info = verify_snapshot(path)
         assert info["arrays_checked"] > 0
         assert info["fingerprint_checked"] is False
@@ -186,13 +188,13 @@ class TestFailureModes:
             MACEngine.load(tmp_path / "nope", make_network())
 
     def test_unparseable_manifest(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         (path / "manifest.json").write_text("{not json")
         with pytest.raises(SnapshotError, match="unreadable"):
             MACEngine.load(path, make_network())
 
     def test_format_version_mismatch(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["format_version"] = FORMAT_VERSION + 1
         (path / "manifest.json").write_text(json.dumps(manifest))
@@ -201,8 +203,18 @@ class TestFailureModes:
         with pytest.raises(SnapshotError, match="format version"):
             verify_snapshot(path)
 
+    def test_format_1_snapshot_asks_for_a_rebuild(self, tmp_path, request_):
+        # Format 1 recorded a compute backend per entry; its keys no
+        # longer match the engine's, so it is refused, never misread.
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 1
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="rebuild"):
+            MACEngine.load(path, make_network())
+
     def test_wrong_format_name(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["format"] = "something-else"
         (path / "manifest.json").write_text(json.dumps(manifest))
@@ -210,7 +222,7 @@ class TestFailureModes:
             read_manifest(path)
 
     def test_truncated_archive(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         arrays = path / "arrays.npz"
         data = arrays.read_bytes()
         arrays.write_bytes(data[: len(data) // 2])
@@ -220,19 +232,19 @@ class TestFailureModes:
             verify_snapshot(path)
 
     def test_garbage_archive(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         (path / "arrays.npz").write_bytes(b"\x00" * 128)
         with pytest.raises(SnapshotError, match="corrupt"):
             MACEngine.load(path, make_network())
 
     def test_missing_archive(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         (path / "arrays.npz").unlink()
         with pytest.raises(SnapshotError, match="missing"):
             MACEngine.load(path, make_network())
 
     def test_missing_promised_array(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         arrays = dict(np.load(path / "arrays.npz"))
         arrays.pop("gtree.mat_w")
         np.savez_compressed(path / "arrays.npz", **arrays)
@@ -244,7 +256,7 @@ class TestFailureModes:
     def test_fingerprint_mismatch_on_load_and_verify(
         self, tmp_path, request_
     ):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         other = make_network()
         other.road.add_edge(1, 5, 2.0)
         with pytest.raises(SnapshotError, match="different network"):
@@ -253,7 +265,7 @@ class TestFailureModes:
             verify_snapshot(path, network=other)
 
     def test_resave_over_existing_snapshot(self, tmp_path, request_, region):
-        engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        engine, _result, path = warmed_snapshot(tmp_path, request_)
         other = MACRequest.make((2, 3, 6), 4, 9.0, region)
         engine.search(other)
         engine.save(path)  # overwrite in place with more entries
@@ -270,7 +282,7 @@ class TestFailureModes:
         # Crash-safety contract: once a re-save has begun writing, the
         # old manifest must already be gone, so a crash before the new
         # manifest lands leaves a snapshot that fails to load loudly.
-        engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        engine, _result, path = warmed_snapshot(tmp_path, request_)
 
         boom = RuntimeError("simulated crash during savez")
 
@@ -294,7 +306,7 @@ class TestFailureModes:
 
 class TestContentChecksums:
     def test_save_records_a_checksum_per_array(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         manifest = json.loads((path / "manifest.json").read_text())
         checksums = manifest["checksums"]
         with np.load(path / "arrays.npz") as npz:
@@ -302,7 +314,7 @@ class TestContentChecksums:
         assert all(len(digest) == 64 for digest in checksums.values())
 
     def test_deep_verify_passes_and_counts(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         shallow = verify_snapshot(path)
         assert shallow["deep"] is False
         assert shallow["checksums_checked"] == 0
@@ -311,7 +323,7 @@ class TestContentChecksums:
         assert deep["checksums_checked"] == deep["arrays_checked"] > 0
 
     def test_bit_rot_fails_deep_but_not_shallow(self, tmp_path, request_):
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         arrays = dict(np.load(path / "arrays.npz"))
         key = next(k for k, a in arrays.items() if a.size > 0)
         flipped = np.array(arrays[key])
@@ -327,7 +339,7 @@ class TestContentChecksums:
         """Snapshots saved before checksums existed (no ``checksums``
         table) still load and deep-verify — vacuously, with zero
         checksums checked — rather than failing the upgrade."""
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         manifest = json.loads((path / "manifest.json").read_text())
         del manifest["checksums"]
         (path / "manifest.json").write_text(json.dumps(manifest))
@@ -341,7 +353,7 @@ class TestContentChecksums:
         """The digest covers dtype/shape/content, not the npz encoding:
         an uncompressed re-save of identical arrays deep-verifies
         against the checksums recorded at compressed save time."""
-        _engine, _result, path = warmed_snapshot(tmp_path, request_, "flat")
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
         arrays = dict(np.load(path / "arrays.npz"))
         np.savez(path / "arrays.npz", **arrays)  # uncompressed layout
         info = verify_snapshot(path, deep=True)
@@ -381,9 +393,9 @@ class TestComponentCodecs:
         attrs = {
             v: x for v, x in paper_attributes().items() if v <= 7
         }
-        original = DominanceGraph(attrs, region, backend="flat")
+        original = DominanceGraph(attrs, region)
         restored = DominanceGraph.from_hasse(
-            attrs, region, original.order, original.parents, backend="flat"
+            attrs, region, original.order, original.parents
         )
         assert restored.order == original.order
         assert restored.parents == original.parents

@@ -238,8 +238,10 @@ class TestIndexCommand:
 
         assert main(["index", "info", out]) == 0
         info = capsys.readouterr().out
-        assert "repro-index-snapshot v1" in info
+        assert "repro-index-snapshot v2" in info
         assert "g-tree" in info
+        # The input picks the compute path: no snapshot records one.
+        assert "backend" not in built and "backend" not in info
 
         assert main(["index", "verify", out]) == 0
         assert "snapshot ok" in capsys.readouterr().out
