@@ -73,6 +73,13 @@ from repro.social.roadsocial import (
     RoadSocialNetwork,
     kt_core_from_coreness,
 )
+from repro.store.fingerprint import (
+    advance_digest,
+    format_digest,
+    network_digest,
+    records_digest,
+    touched_records,
+)
 
 #: Stages whose wall time the engine accounts separately.
 STAGES = ("filter", "core", "dominance", "search")
@@ -347,6 +354,9 @@ class MACEngine:
         self._mutations_by_kind: dict[str, int] = {}
         self._cache_evicted_by_mutation = 0
         self._delta_seq = 0
+        # Content digest of the network (repro.store.fingerprint), kept
+        # current by apply once it exists; None until first needed.
+        self._digest: int | None = None
         self._stage_seconds = {stage: 0.0 for stage in STAGES}
         if eager:
             self.prepare()
@@ -483,6 +493,22 @@ class MACEngine:
         with self._counter_lock:
             return self._delta_seq
 
+    def identity(self) -> tuple[str, int]:
+        """The network's content fingerprint and ``delta_seq``, read together.
+
+        Both are taken under the mutation lock, so the pair always
+        describes one state: never a pre-batch digest with a post-batch
+        sequence number.  The digest is computed in full at most once
+        per engine (:meth:`load` adopts the one it verified), then
+        :meth:`apply` keeps it current in O(records touched).  It
+        proves what this engine applied, not what the network holds:
+        a change made to the network outside :meth:`apply` is not seen.
+        """
+        with self._mutate_lock:
+            if self._digest is None:
+                self._digest = network_digest(self.network)
+            return format_digest(self._digest), self._delta_seq
+
     def apply(self, mutations) -> dict:
         """Apply a batch of live mutations to the network and caches.
 
@@ -516,6 +542,9 @@ class MACEngine:
         batch = normalize_batch(mutations)
         with self._mutate_lock:
             validate_batch(self.network, batch)
+            if self._digest is not None:
+                touched = touched_records(batch)
+                before = records_digest(self.network, touched)
             evicted = repaired = 0
             by_kind: dict[str, int] = {}
             for m in batch:
@@ -523,6 +552,9 @@ class MACEngine:
                 evicted += entry_evicted
                 repaired += entry_repaired
                 by_kind[m.kind] = by_kind.get(m.kind, 0) + 1
+            if self._digest is not None:
+                after = records_digest(self.network, touched)
+                self._digest = advance_digest(self._digest, before, after)
             with self._counter_lock:
                 self._mutations += len(batch)
                 for kind, n in by_kind.items():

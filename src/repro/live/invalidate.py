@@ -74,9 +74,7 @@ def edge_dirty_insert(k: int, members, delta: RepairDelta | None, u, v) -> bool:
     if members is None:
         # Feasibility can flip without any coreness change: the new edge
         # may merge k-core components that separated the query set.
-        return (
-            delta.coreness.get(u, 0) >= k and delta.coreness.get(v, 0) >= k
-        )
+        return delta.coreness.get(u, 0) >= k and delta.coreness.get(v, 0) >= k
     return u in members or v in members
 
 

@@ -201,9 +201,7 @@ def mutation_from_wire(obj: Mapping) -> Mutation:
         return MoveUser(_wire_int(obj, "user", op), spatial)
     weight = obj.get("weight")
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-        raise MutationError(
-            f"mutation {op!r} needs a numeric 'weight', got {weight!r}"
-        )
+        raise MutationError(f"mutation {op!r} needs a numeric 'weight', got {weight!r}")
     return UpdateRoadWeight(
         _wire_int(obj, "u", op), _wire_int(obj, "v", op), float(weight)
     )

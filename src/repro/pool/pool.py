@@ -70,7 +70,10 @@ every live worker over the same FIFO pipes as queries — a worker
 serves every query it received before the batch against pre-mutation
 state and everything after against post-mutation state, so answers are
 always internally consistent.  Each worker proves convergence by
-returning its recomputed network fingerprint; a worker that failed the
+returning its engine's content digest, which every engine keeps current
+per batch from the records the batch touched, read back from its own
+network after its own apply — so a missed, duplicated or failed batch
+shows as a mismatch against the parent's.  A worker that failed the
 batch or diverged is killed and respawned from the mutated parent
 rather than ever serving stale answers.
 """
@@ -100,7 +103,10 @@ from repro.service.protocol import (
     telemetry_from_wire,
     telemetry_to_wire,
 )
-from repro.store.fingerprint import network_fingerprint
+# Never called here — engines keep their digest current — but kept a
+# module attribute: ``perfbench/launcher.py`` wraps it under
+# ``--trace 1`` so a full recompute on the pool path would show up.
+from repro.store.fingerprint import network_fingerprint  # noqa: F401
 
 _MAX_FAST_CRASHES = 6
 
@@ -115,14 +121,15 @@ def _backoff_delay(fast_crashes: int) -> float:
     return min(0.05 * 2**fast_crashes, 2.0)
 
 
-def _identity(engine, fingerprint, generation: int, source, index_digest) -> dict:
+def _identity(engine, generation: int, source, index_digest) -> dict:
     """A reported snapshot identity (:meth:`WorkerPool.snapshot_wire`)."""
+    fingerprint, delta_seq = engine.identity()
     return {
         "fingerprint": fingerprint,
         "generation": generation,
         "source": source,
         "index_digest": index_digest,
-        "delta_seq": getattr(engine, "delta_seq", 0),
+        "delta_seq": delta_seq,
     }
 
 
@@ -306,7 +313,6 @@ class WorkerPool:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self._source = source
         self._index_digest = index_digest
-        self._engine_fp: str | None = None
         self._generation = 0
         self._active: dict | None = None  # reported identity; flips post-drain
         self._lock = threading.Lock()
@@ -315,11 +321,11 @@ class WorkerPool:
         # Forking a worker while a live mutation is rewriting the parent
         # engine in place would copy a torn half-applied state into the
         # child; this lock makes fork and in-place apply mutually
-        # exclusive.  A respawn holds it from reading the fingerprint
-        # through slot placement, a mutation from the parent apply
-        # through publishing its fingerprint and taking the broadcast
-        # list, so every child either inherits the mutated engine with
-        # its new fingerprint or is in a slot to receive the batch.
+        # exclusive.  A respawn holds it from reading the engine's
+        # fingerprint through slot placement, a mutation from the parent
+        # apply through taking the broadcast list, so every child either
+        # inherits the mutated engine with its new fingerprint or is in
+        # a slot to receive the batch.
         self._fork_lock = threading.Lock()
         self._mutations = 0
         self._slots = [_Slot() for _ in range(num_workers)]
@@ -365,7 +371,7 @@ class WorkerPool:
         provenance.  Flips atomically when a swap's drain completes —
         an observer never sees a half-flipped identity."""
         if self._active is None:
-            return _identity(self._engine, None, 0, self._source, self._index_digest)
+            return _identity(self._engine, 0, self._source, self._index_digest)
         return dict(self._active)
 
     def start(self) -> WorkerPool:
@@ -374,7 +380,10 @@ class WorkerPool:
             raise ServiceError("worker pool already started")
         self._started = True
         self._started_at = time.monotonic()
-        self._engine_fp = network_fingerprint(self._engine.network)
+        # Read before any fork: the digest is computed (once per engine)
+        # here, so every worker inherits a current digest to maintain,
+        # and no engine lock is taken while a respawn may be forking.
+        active = _identity(self._engine, 0, self._source, self._index_digest)
         # The supervisor runs first: it is the only reaper, including
         # of a worker that dies before its handshake.
         self._supervisor = threading.Thread(
@@ -382,18 +391,14 @@ class WorkerPool:
         )
         self._supervisor.start()
         try:
-            staged = self._stage(
-                range(self.num_workers), self._engine, self._engine_fp, 0
-            )
+            staged = self._stage(range(self.num_workers), self._engine, 0)
         except Exception:
             self.stop()
             raise
         with self._lock:
             for worker in staged:
                 self._slots[worker.slot].worker = worker
-        self._active = _identity(
-            self._engine, self._engine_fp, 0, self._source, self._index_digest
-        )
+        self._active = active
         return self
 
     def _transition(self, worker: _Worker, new: WorkerState) -> None:
@@ -406,9 +411,7 @@ class WorkerPool:
         worker.state = new
         self._changed.notify_all()
 
-    def _fork(
-        self, slot: int, engine, fingerprint: str, generation: int, incarnation: int
-    ) -> _Worker:
+    def _fork(self, slot: int, engine, generation: int, incarnation: int) -> _Worker:
         """Fork one worker process and register it with the supervisor;
         the caller decides where it lives.
 
@@ -418,6 +421,7 @@ class WorkerPool:
         """
         if self._stopping.is_set():
             raise ServiceError("the worker pool is stopping")
+        fingerprint = engine.identity()[0]
         parent_conn, child_conn = self._ctx.Pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork() from a multi-threaded
@@ -455,7 +459,7 @@ class WorkerPool:
         worker.receiver.start()
         return worker
 
-    def _stage(self, slots, engine, fingerprint: str, generation: int) -> list:
+    def _stage(self, slots, engine, generation: int) -> list:
         """Fork workers for ``slots`` outside the fleet and wait for
         their handshakes; on any failure discard them and re-raise."""
         staged: list[_Worker] = []
@@ -463,9 +467,7 @@ class WorkerPool:
             for slot in slots:
                 incarnation = self._next_incarnation(slot)
                 with self._fork_lock:
-                    staged.append(
-                        self._fork(slot, engine, fingerprint, generation, incarnation)
-                    )
+                    staged.append(self._fork(slot, engine, generation, incarnation))
             self._await_ready(staged, self.start_timeout)
             if self._stopping.is_set():
                 raise ServiceError("the worker pool began stopping")
@@ -482,11 +484,10 @@ class WorkerPool:
         """
         with self._fork_lock:
             with self._lock:
-                engine, fingerprint = self._engine, self._engine_fp
-                generation = self._generation
+                engine, generation = self._engine, self._generation
             incarnation = self._next_incarnation(slot)
             try:
-                worker = self._fork(slot, engine, fingerprint, generation, incarnation)
+                worker = self._fork(slot, engine, generation, incarnation)
             except ServiceError:
                 return  # the pool began stopping
             with self._lock:
@@ -610,12 +611,10 @@ class WorkerPool:
 
     def _swap_locked(self, engine, source, index_digest, drain_timeout) -> dict:
         started = time.monotonic()
-        fingerprint = network_fingerprint(engine.network)
         generation = self._generation + 1
+        active = _identity(engine, generation, source, index_digest)
         try:
-            staged = self._stage(
-                range(self.num_workers), engine, fingerprint, generation
-            )
+            staged = self._stage(range(self.num_workers), engine, generation)
         except Exception as exc:
             raise ReloadError(
                 f"snapshot swap to generation {generation} rolled back "
@@ -630,7 +629,6 @@ class WorkerPool:
                 record.worker = worker
                 record.respawn_at = None  # the staged worker fills it
             self._engine = engine
-            self._engine_fp = fingerprint
             self._generation = generation
             self._retire(retired, "was retired by a live snapshot swap")
         drain = self._drain(
@@ -638,10 +636,10 @@ class WorkerPool:
         )
         # The reported identity flips only now — after the old
         # generation fully drained — and atomically (one dict swap).
-        self._active = _identity(engine, fingerprint, generation, source, index_digest)
+        self._active = active
         return {
             "generation": generation,
-            "fingerprint": fingerprint,
+            "fingerprint": active["fingerprint"],
             "source": source,
             "index_digest": index_digest,
             "workers": self.num_workers,
@@ -669,10 +667,7 @@ class WorkerPool:
         if num_workers > old_n:
             try:
                 staged = self._stage(
-                    range(old_n, num_workers),
-                    self._engine,
-                    self._engine_fp,
-                    self._generation,
+                    range(old_n, num_workers), self._engine, self._generation
                 )
             except Exception as exc:
                 raise ReloadError(
@@ -712,13 +707,17 @@ class WorkerPool:
         before any worker sees the batch, so a rejected batch leaves
         the fleet untouched and future respawns fork consistent state.
         On success the batch is broadcast to every live worker; each
-        reply carries the worker's recomputed network fingerprint, and
-        any worker that failed the batch or landed on different content
-        is SIGKILLed — the supervisor refills its slot by forking the
-        already-mutated parent, so divergence is never served.  No
+        reply carries the digest its engine maintains (see
+        :meth:`~repro.engine.MACEngine.identity`) and its apply time,
+        and any worker that failed the batch or landed on different
+        content is SIGKILLed — the supervisor refills its slot by
+        forking the already-mutated parent, so divergence is never
+        served.  No
         generation bump: the fleet stays on its snapshot generation,
         with the reported identity's ``fingerprint``/``delta_seq``
-        advanced in one atomic flip.
+        advanced in one atomic flip.  ``broadcast_s`` runs from the
+        first send to the last reply; ``worker_apply_s`` is the slowest
+        worker's own apply time.
         """
         return self._admin("mutate", self._mutate_locked, mutations)
 
@@ -730,11 +729,11 @@ class WorkerPool:
             # be labelled with, or miss the broadcast of, the wrong side
             # of this batch.
             summary = self._engine.apply(mutations)
-            fingerprint = network_fingerprint(self._engine.network)
+            fingerprint = self._engine.identity()[0]
             with self._lock:
-                self._engine_fp = fingerprint
                 self._mutations += 1
                 workers = self._dispatchable()
+        sent = time.monotonic()
         futures: dict[_Worker, Future] = {}
         for worker in workers:
             try:
@@ -743,6 +742,7 @@ class WorkerPool:
                 continue
         divergent: list[_Worker] = []
         applied_workers = 0
+        worker_apply_s = 0.0
         deadline = time.monotonic() + self.start_timeout
         for worker, future in futures.items():
             remaining = max(0.1, deadline - time.monotonic())
@@ -757,10 +757,12 @@ class WorkerPool:
                 divergent.append(worker)
                 continue
             applied_workers += 1
+            worker_apply_s = max(worker_apply_s, reply["elapsed_s"])
             with self._lock:
                 # Keep the per-worker identity in /v1/healthz honest:
                 # this worker now serves the mutated content.
                 worker.info["fingerprint"] = fingerprint
+        broadcast_s = time.monotonic() - sent
         for worker in divergent:
             # SIGKILL, never serve from divergence: the supervisor reaps
             # it, fails its in-flight requests typed and refills the
@@ -779,6 +781,8 @@ class WorkerPool:
             "applied_workers": applied_workers,
             "respawned": len(divergent),
             "uniform": not divergent,
+            "broadcast_s": round(broadcast_s, 4),
+            "worker_apply_s": round(worker_apply_s, 4),
             "elapsed_s": round(time.monotonic() - started, 3),
         }
 

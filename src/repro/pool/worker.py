@@ -37,7 +37,6 @@ from repro.service.protocol import (
     result_to_wire,
     telemetry_to_wire,
 )
-from repro.store.fingerprint import network_fingerprint
 
 
 def _charged_search(engine, request, submitted_at: float):
@@ -76,12 +75,14 @@ def _handle(worker_id: int, engine, op: str, payload):
         return telemetry_to_wire(engine.telemetry())
     if op == "mutate":
         # A live-mutation broadcast: apply the batch to this worker's
-        # engine copy and prove the outcome by recomputing the network
-        # fingerprint — the dispatcher asserts every worker (and the
-        # parent) landed on the same content, and kills any that
-        # diverged instead of serving from it.
+        # engine copy and report the digest that apply just advanced
+        # from this process's own network — the dispatcher asserts
+        # every worker (and the parent) landed on the same content, and
+        # kills any that diverged instead of serving from it.
+        started = time.monotonic()
         summary = engine.apply(payload)
-        summary["fingerprint"] = network_fingerprint(engine.network)
+        summary["fingerprint"] = engine.identity()[0]
+        summary["elapsed_s"] = time.monotonic() - started
         return summary
     if op == "ping":
         return {"worker": worker_id, "pid": os.getpid()}

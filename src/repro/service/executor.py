@@ -12,7 +12,6 @@ module, the default) or a multi-process worker tier
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.engine.request import MACRequest
@@ -44,12 +43,6 @@ class EngineExecutor:
         index_digest: str | None = None,
     ) -> None:
         self.engine = engine
-        self._fingerprint: str | None = None
-        # Bumped (and the cached digest dropped) after every content
-        # change; a digest is cached only if no bump overlapped its
-        # hashing, so a hash racing an apply is never kept.
-        self._content_epoch = 0
-        self._fingerprint_lock = threading.Lock()
         self._generation = 0
         self._source = source
         self._index_digest = index_digest
@@ -63,50 +56,29 @@ class EngineExecutor:
     def telemetry_wire(self) -> dict:
         return telemetry_to_wire(self.engine.telemetry())
 
-    def fingerprint(self) -> str | None:
-        with self._fingerprint_lock:
-            if self._fingerprint is not None:
-                return self._fingerprint
-            epoch = self._content_epoch
-        try:
-            from repro.store.fingerprint import network_fingerprint
-
-            fingerprint = network_fingerprint(self.engine.network)
-        except Exception:
-            # Duck-typed test engines need not carry a real network;
-            # the fingerprint is informational, never load-bearing.
-            return None
-        with self._fingerprint_lock:
-            if self._content_epoch == epoch:
-                self._fingerprint = fingerprint
-        return fingerprint
-
-    def _content_changed(self) -> None:
-        with self._fingerprint_lock:
-            self._content_epoch += 1
-            self._fingerprint = None
+    def fingerprint(self) -> str:
+        return self.engine.identity()[0]
 
     def mutate_wire(self, mutations: list) -> dict:
         """Apply one live mutation batch to the engine, in place.
 
         The threads tier has a single shared engine, so one
         :meth:`~repro.engine.MACEngine.apply` call mutates what every
-        slot serves.  The cached dataset fingerprint is dropped — the
-        network content just changed — and recomputed lazily; a hash
-        that overlapped the apply is returned to its caller but never
-        cached.
+        slot serves — and advances the engine's content digest in the
+        same critical section.
         """
-        summary = self.engine.apply(mutations)
-        self._content_changed()
-        return summary
+        return self.engine.apply(mutations)
 
     def snapshot_wire(self) -> dict:
+        # One read of the pair: a mutation landing between two separate
+        # reads could pair the old digest with the new delta_seq.
+        fingerprint, delta_seq = self.engine.identity()
         return {
-            "fingerprint": self.fingerprint(),
+            "fingerprint": fingerprint,
             "generation": self._generation,
             "source": self._source,
             "index_digest": self._index_digest,
-            "delta_seq": getattr(self.engine, "delta_seq", 0),
+            "delta_seq": delta_seq,
         }
 
     def workers_wire(self) -> dict:
@@ -143,7 +115,6 @@ class EngineExecutor:
                 f"reload of {path} rolled back, engine untouched: {exc}"
             ) from exc
         self.engine = engine
-        self._content_changed()
         self._generation += 1
         self._source = path
         self._index_digest = digest

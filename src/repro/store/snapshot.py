@@ -46,7 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from repro import __version__ as _repro_version
+import repro
 from repro.dominance.graph import DominanceGraph
 from repro.errors import ReproError, SnapshotError
 from repro.geometry.region import PreferenceRegion
@@ -54,11 +54,16 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.kernels.flatgraph import FlatGraph
 from repro.road.gtree import GTree
 from repro.social.roadsocial import KTCore, RoadSocialNetwork
-from repro.store.fingerprint import network_fingerprint
+from repro.store.fingerprint import (
+    format_digest,
+    network_digest,
+    network_fingerprint,
+)
 
 #: Bump on any incompatible change to the manifest or array layout.
 #: v2: stage-cache keys and the manifest carry no compute backend.
-FORMAT_VERSION = 2
+#: v3: the manifest fingerprint is the ``mset256:`` multiset digest.
+FORMAT_VERSION = 3
 
 FORMAT_NAME = "repro-index-snapshot"
 
@@ -269,7 +274,7 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
     manifest = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "repro_version": _repro_version,
+        "repro_version": repro.__version__,
         "numpy_version": np.__version__,
         "fingerprint": network_fingerprint(network),
         "compressed": bool(compress),
@@ -634,7 +639,8 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
 
     path = Path(path)
     manifest = read_manifest(path)
-    fingerprint = network_fingerprint(network)
+    digest = network_digest(network)
+    fingerprint = format_digest(digest)
     if fingerprint != manifest["fingerprint"]:
         raise SnapshotError(
             f"snapshot {path} was built for a different network "
@@ -686,6 +692,8 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
             )
 
         engine = MACEngine(network, **kwargs)
+        # Adopt the digest just verified; the replay below advances it.
+        engine._digest = digest
 
         for i, entry in enumerate(comp.get("filter", [])):
             key = _filter_key_from_json(entry)

@@ -40,12 +40,11 @@ def adjacency(graph) -> dict:
 
 def flat_adjacency(flat) -> dict:
     ids = np.asarray(flat.ids)
-    return {
-        int(ids[r]): frozenset(
-            ids[flat.indices[flat.indptr[r]:flat.indptr[r + 1]]].tolist()
-        )
-        for r in range(flat.n)
-    }
+    adj = {}
+    for r in range(flat.n):
+        lo, hi = flat.indptr[r], flat.indptr[r + 1]
+        adj[int(ids[r])] = frozenset(ids[flat.indices[lo:hi]].tolist())
+    return adj
 
 
 def frozen(prep) -> tuple:
@@ -53,12 +52,17 @@ def frozen(prep) -> tuple:
     flat = None
     if prep.flat is not None:
         flat = (
-            prep.flat.indptr.copy(), prep.flat.indices.copy(),
-            list(prep.flat.ids), prep.core_rows.copy(),
+            prep.flat.indptr.copy(),
+            prep.flat.indices.copy(),
+            list(prep.flat.ids),
+            prep.core_rows.copy(),
         )
     return (
-        adjacency(prep.filtered), prep.filtered.num_edges,
-        dict(prep.coreness), prep.max_coreness, flat,
+        adjacency(prep.filtered),
+        prep.filtered.num_edges,
+        dict(prep.coreness),
+        prep.max_coreness,
+        flat,
     )
 
 
@@ -100,8 +104,7 @@ def assert_repaired(new, old, u, v) -> None:
 def test_held_entries_survive_toggle_storms(force_path, backend):
     force_path(backend)
     engine = MACEngine(make_network())
-    for query, t in [((2, 3, 6), 9.0), ((2, 3, 6), 30.0), ((1, 4), 12.0),
-                     ((7,), 60.0)]:
+    for query, t in [((2, 3, 6), 9.0), ((2, 3, 6), 30.0), ((1, 4), 12.0), ((7,), 60.0)]:
         engine.search(MACRequest.make(query, 2, t, REGION, algorithm="global"))
     held = [(prep, frozen(prep)) for _key, prep in engine._filter_cache.items()]
     assert len(held) == 4

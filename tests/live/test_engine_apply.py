@@ -52,13 +52,9 @@ class TestEquivalence:
         force_path(backend)
         engine = MACEngine(make_network())
         engine.search(make_request())  # warm every stage
-        summary = engine.apply([
-            add_social_edge(1, 4), remove_social_edge(2, 5),
-        ])
+        summary = engine.apply([add_social_edge(1, 4), remove_social_edge(2, 5)])
         assert summary["applied"] == 2
-        assert summary["by_kind"] == {
-            "add_social_edge": 1, "remove_social_edge": 1,
-        }
+        assert summary["by_kind"] == {"add_social_edge": 1, "remove_social_edge": 1}
         assert summary["delta_seq"] == 1
 
         def mutate(network):
@@ -67,9 +63,7 @@ class TestEquivalence:
 
         reference = MACEngine(make_network(mutate))
         request = make_request()
-        assert stable(engine.search(request)) == stable(
-            reference.search(request)
-        )
+        assert stable(engine.search(request)) == stable(reference.search(request))
 
     @pytest.mark.parametrize("backend", SIDES)
     def test_attribute_update_matches_rebuild(self, force_path, backend):
@@ -83,9 +77,7 @@ class TestEquivalence:
 
         reference = MACEngine(make_network(mutate))
         request = make_request()
-        assert stable(engine.search(request)) == stable(
-            reference.search(request)
-        )
+        assert stable(engine.search(request)) == stable(reference.search(request))
 
     def test_road_weight_update_matches_rebuild(self):
         engine = MACEngine(make_network())
@@ -99,9 +91,7 @@ class TestEquivalence:
         request = make_request()
         # rerouting 6-7 pushes v7's query distance past t: the filter
         # shrinks, so this really exercises the global eviction
-        assert stable(engine.search(request)) == stable(
-            reference.search(request)
-        )
+        assert stable(engine.search(request)) == stable(reference.search(request))
 
     def test_move_user_matches_rebuild(self):
         engine = MACEngine(make_network())
@@ -113,9 +103,7 @@ class TestEquivalence:
 
         reference = MACEngine(make_network(mutate))
         request = make_request()
-        assert stable(engine.search(request)) == stable(
-            reference.search(request)
-        )
+        assert stable(engine.search(request)) == stable(reference.search(request))
 
     def test_wire_dicts_are_accepted(self):
         engine = MACEngine(make_network())
@@ -182,10 +170,12 @@ class TestAtomicity:
         engine = MACEngine(make_network())
         engine.search(make_request())
         with pytest.raises(MutationError, match="mutation 1"):
-            engine.apply([
-                add_social_edge(1, 4),
-                add_social_edge(2, 3),  # already exists
-            ])
+            engine.apply(
+                [
+                    add_social_edge(1, 4),
+                    add_social_edge(2, 3),  # already exists
+                ]
+            )
         assert not engine.network.social.graph.has_edge(1, 4)
         assert engine.delta_seq == 0
         assert engine.telemetry().mutations == 0
@@ -201,9 +191,7 @@ class TestTelemetry:
     def test_counters_and_delta_seq(self):
         engine = MACEngine(make_network())
         engine.apply([add_social_edge(1, 4)])
-        engine.apply([
-            remove_social_edge(1, 4), update_attributes(3, [1.0, 1.0, 1.0]),
-        ])
+        engine.apply([remove_social_edge(1, 4), update_attributes(3, [1.0, 1.0, 1.0])])
         assert engine.delta_seq == 2
         tel = engine.telemetry()
         assert tel.mutations == 3

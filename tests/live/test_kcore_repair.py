@@ -56,9 +56,7 @@ class TestPythonRepair:
             # the delta is exactly the moved vertices, each by one
             moved = {w: c for w, c in expected.items() if before[w] != c}
             assert changed == moved
-            assert all(
-                abs(c - before[w]) == 1 for w, c in changed.items()
-            )
+            assert all(abs(c - before[w]) == 1 for w, c in changed.items())
 
     def test_insert_into_triangle_promotes_it(self, force_path):
         force_path("python")

@@ -19,14 +19,17 @@ from repro.road.network import SpatialPoint
 
 
 class TestWireCodec:
-    @pytest.mark.parametrize("mutation", [
-        add_social_edge(3, 17),
-        remove_social_edge(5, 2),
-        update_attributes(5, [0.2, 0.9, 0.4]),
-        move_user(5, SpatialPoint.on_edge(2, 3, 1.5)),
-        move_user(7, SpatialPoint.at_vertex(4)),
-        update_road_weight(2, 3, 9.0),
-    ])
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            add_social_edge(3, 17),
+            remove_social_edge(5, 2),
+            update_attributes(5, [0.2, 0.9, 0.4]),
+            move_user(5, SpatialPoint.on_edge(2, 3, 1.5)),
+            move_user(7, SpatialPoint.at_vertex(4)),
+            update_road_weight(2, 3, 9.0),
+        ],
+    )
     def test_round_trip(self, mutation):
         wire = mutation_to_wire(mutation)
         assert wire["op"] in MUTATION_KINDS
@@ -54,11 +57,13 @@ class TestWireCodec:
 
     def test_bad_attributes_are_typed(self):
         with pytest.raises(MutationError, match="'attributes' list"):
-            mutation_from_wire({"op": "update_attributes", "user": 1,
-                                "attributes": "high"})
+            mutation_from_wire(
+                {"op": "update_attributes", "user": 1, "attributes": "high"}
+            )
         with pytest.raises(MutationError, match="must be numbers"):
-            mutation_from_wire({"op": "update_attributes", "user": 1,
-                                "attributes": [0.1, "x"]})
+            mutation_from_wire(
+                {"op": "update_attributes", "user": 1, "attributes": [0.1, "x"]}
+            )
 
     def test_bad_point_is_typed(self):
         with pytest.raises(MutationError, match="'point' object"):
@@ -66,16 +71,16 @@ class TestWireCodec:
 
     def test_bad_weight_is_typed(self):
         with pytest.raises(MutationError, match="numeric 'weight'"):
-            mutation_from_wire({"op": "update_road_weight", "u": 1, "v": 2,
-                                "weight": "fast"})
+            mutation_from_wire(
+                {"op": "update_road_weight", "u": 1, "v": 2, "weight": "fast"}
+            )
 
 
 class TestNormalizeBatch:
     def test_mixes_typed_and_wire(self):
-        batch = normalize_batch([
-            add_social_edge(1, 4),
-            {"op": "remove_social_edge", "u": 4, "v": 5},
-        ])
+        batch = normalize_batch(
+            [add_social_edge(1, 4), {"op": "remove_social_edge", "u": 4, "v": 5}]
+        )
         assert batch[0] == add_social_edge(1, 4)
         assert batch[1] == remove_social_edge(4, 5)
 
@@ -107,26 +112,22 @@ class TestValidateBatch:
 
     def test_error_names_the_offending_mutation(self, paper_network):
         with pytest.raises(MutationError, match=r"mutation 1 \(add_social"):
-            validate_batch(paper_network, [
-                add_social_edge(1, 4), add_social_edge(2, 3),
-            ])
+            validate_batch(
+                paper_network, [add_social_edge(1, 4), add_social_edge(2, 3)]
+            )
 
     def test_prefix_overlay_add_then_remove(self, paper_network):
         # (1, 4) does not exist, yet removing it after adding it is fine
-        validate_batch(paper_network, [
-            add_social_edge(1, 4), remove_social_edge(1, 4),
-        ])
+        validate_batch(paper_network, [add_social_edge(1, 4), remove_social_edge(1, 4)])
 
     def test_prefix_overlay_remove_then_add(self, paper_network):
-        validate_batch(paper_network, [
-            remove_social_edge(2, 3), add_social_edge(2, 3),
-        ])
+        validate_batch(paper_network, [remove_social_edge(2, 3), add_social_edge(2, 3)])
 
     def test_prefix_overlay_double_add_is_rejected(self, paper_network):
         with pytest.raises(MutationError, match="already exists"):
-            validate_batch(paper_network, [
-                add_social_edge(1, 4), add_social_edge(4, 1),
-            ])
+            validate_batch(
+                paper_network, [add_social_edge(1, 4), add_social_edge(4, 1)]
+            )
 
     def test_attribute_dimensionality_is_checked(self, paper_network):
         with pytest.raises(MutationError, match="expected 3 attributes"):
@@ -141,9 +142,7 @@ class TestValidateBatch:
 
     def test_move_point_is_validated(self, paper_network):
         with pytest.raises(MutationError, match="not in network"):
-            validate_batch(
-                paper_network, [move_user(3, SpatialPoint.at_vertex(99))]
-            )
+            validate_batch(paper_network, [move_user(3, SpatialPoint.at_vertex(99))])
         with pytest.raises(MutationError, match="exceeds edge length"):
             validate_batch(
                 paper_network,

@@ -1,5 +1,6 @@
 """Fleet-wide mutation broadcast across the worker-process tier."""
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -7,9 +8,11 @@ import time
 
 import pytest
 
+import repro.engine.engine as engine_module
+import repro.store.fingerprint as fp_module
 from repro import MACEngine, MACRequest, PreferenceRegion
 from repro.errors import MutationError, ReloadError
-from repro.live import add_social_edge
+from repro.live import add_social_edge, remove_social_edge, update_attributes
 from repro.pool import WorkerPool
 from repro.road.network import SpatialPoint
 from repro.service.protocol import result_to_wire
@@ -44,23 +47,49 @@ def stable(wire: dict) -> dict:
     return {key: wire[key] for key in STABLE}
 
 
+def add_1_4(network) -> None:
+    network.social.graph.add_edge(1, 4)
+
+
+def respawned(pool: WorkerPool, slot: int, old_pid: int) -> dict:
+    """Wait for ``slot``'s replacement worker to be up; its entry."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        entry = pool.workers_wire()["workers"][slot]
+        if entry["alive"] and entry["pid"] not in (None, old_pid):
+            return entry
+        time.sleep(0.02)
+    raise AssertionError(f"worker {slot} was never respawned")
+
+
+class ContendedLock:
+    """A mutex that signals once some thread has to wait for it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.contended = threading.Event()
+
+    def __enter__(self) -> "ContendedLock":
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
 class TestBroadcast:
     def test_batch_reaches_every_worker_uniformly(self):
         with WorkerPool(MACEngine(make_network()), 2) as pool:
-            summary = pool.mutate_wire(
-                [{"op": "add_social_edge", "u": 1, "v": 4}]
-            )
+            summary = pool.mutate_wire([{"op": "add_social_edge", "u": 1, "v": 4}])
             assert summary["applied"] == 1
             assert summary["workers"] == 2
             assert summary["applied_workers"] == 2
             assert summary["uniform"] is True
             assert summary["respawned"] == 0
             assert summary["delta_seq"] == 1
-
-            def mutate(network):
-                network.social.graph.add_edge(1, 4)
-
-            mutated = make_network(mutate)
+            mutated = make_network(add_1_4)
             assert summary["fingerprint"] == network_fingerprint(mutated)
             assert pool.snapshot_wire()["delta_seq"] == 1
             assert pool.fingerprint == summary["fingerprint"]
@@ -91,16 +120,12 @@ class TestBroadcast:
     def test_sequential_batches_advance_delta_seq(self):
         with WorkerPool(MACEngine(make_network()), 1) as pool:
             pool.mutate_wire([add_social_edge(1, 4)])
-            summary = pool.mutate_wire(
-                [{"op": "remove_social_edge", "u": 1, "v": 4}]
-            )
+            summary = pool.mutate_wire([{"op": "remove_social_edge", "u": 1, "v": 4}])
             assert summary["delta_seq"] == 2
             assert summary["uniform"] is True
             assert pool.snapshot_wire()["delta_seq"] == 2
             # add + remove round-trips to the original content
-            assert summary["fingerprint"] == network_fingerprint(
-                make_network()
-            )
+            assert summary["fingerprint"] == network_fingerprint(make_network())
 
 
 class TestRespawnRace:
@@ -124,42 +149,95 @@ class TestRespawnRace:
                 return worker
 
             pool._fork = held_fork
+            fork_lock = pool._fork_lock = ContendedLock()
             pid = pool.workers_wire()["workers"][victim]["pid"]
             os.kill(pid, signal.SIGKILL)
             assert forked.wait(timeout=30), "supervisor never respawned"
 
             summaries = []
-            mutator = threading.Thread(
-                target=lambda: summaries.append(
-                    pool.mutate_wire([add_social_edge(1, 4)])
-                )
-            )
+
+            def mutate():
+                summaries.append(pool.mutate_wire([add_social_edge(1, 4)]))
+
+            mutator = threading.Thread(target=mutate)
             mutator.start()
-            time.sleep(0.3)  # let a racing mutation finish first, if it can
+            # The held respawn owns the fork lock: release it only once
+            # the mutation is provably waiting on it.
+            assert fork_lock.contended.wait(timeout=30)
             gate.set()
             mutator.join(timeout=30)
             assert summaries and summaries[0]["uniform"] is True
             summary = summaries[0]
-
-            def mutate(network):
-                network.social.graph.add_edge(1, 4)
-
-            mutated = make_network(mutate)
+            mutated = make_network(add_1_4)
             assert summary["fingerprint"] == network_fingerprint(mutated)
-
-            def respawned() -> dict | None:
-                entry = pool.workers_wire()["workers"][victim]
-                alive = entry["alive"] and entry["pid"] not in (None, pid)
-                return entry if alive else None
-
-            deadline = time.monotonic() + 30
-            while respawned() is None and time.monotonic() < deadline:
-                time.sleep(0.02)
-            entry = respawned()
-            assert entry is not None, "respawned worker never became ready"
+            entry = respawned(pool, victim, pid)
             assert entry["fingerprint"] == summary["fingerprint"]
             expected = result_to_wire(MACEngine(mutated).search(request))
-            reply = pool.submit_op(
-                victim, "search", (request, time.monotonic())
-            ).result(timeout=30)
-            assert stable(reply) == stable(expected)
+            reply = pool.submit_op(victim, "search", (request, time.monotonic()))
+            assert stable(reply.result(timeout=30)) == stable(expected)
+
+
+class TestDivergence:
+    """The parent kills a worker whose digest disagrees or whose apply
+    fails, and refills the slot from the mutated parent engine."""
+
+    def assert_refilled(self, pool: WorkerPool, slot: int, pid: int, summary):
+        assert summary["uniform"] is False
+        assert summary["respawned"] == 1
+        assert summary["applied_workers"] == 1
+        mutated = make_network(add_1_4)
+        assert summary["fingerprint"] == network_fingerprint(mutated)
+        entry = respawned(pool, slot, pid)
+        assert entry["fingerprint"] == summary["fingerprint"]
+        request = make_request()
+        expected = result_to_wire(MACEngine(mutated).search(request))
+        reply = pool.submit_op(slot, "search", (request, time.monotonic()))
+        assert stable(reply.result(timeout=30)) == stable(expected)
+        # The refilled worker's engine maintains the fleet digest too.
+        follow_up = pool.mutate_wire([remove_social_edge(1, 4)])
+        assert follow_up["uniform"] is True
+        assert follow_up["applied_workers"] == 2
+        assert follow_up["fingerprint"] == network_fingerprint(make_network())
+
+    def test_worker_a_batch_ahead_is_killed(self):
+        with WorkerPool(MACEngine(make_network()), 2) as pool:
+            ahead = [update_attributes(3, [9.5, 9.5, 9.5])]
+            pool.submit_op(0, "mutate", ahead).result(timeout=30)
+            pid = pool.workers_wire()["workers"][0]["pid"]
+            summary = pool.mutate_wire([add_social_edge(1, 4)])
+            self.assert_refilled(pool, 0, pid, summary)
+
+    def test_worker_whose_apply_fails_is_killed(self):
+        with WorkerPool(MACEngine(make_network()), 2) as pool:
+            # Worker 1 already holds the edge: its copy of the fleet
+            # batch fails validation while the parent's applies.
+            pool.submit_op(1, "mutate", [add_social_edge(1, 4)]).result(timeout=30)
+            pid = pool.workers_wire()["workers"][1]["pid"]
+            summary = pool.mutate_wire([add_social_edge(1, 4)])
+            self.assert_refilled(pool, 1, pid, summary)
+
+
+class TestMutationCost:
+    def test_mutate_wire_never_recomputes_a_digest(self, monkeypatch):
+        """Neither the parent nor any worker hashes the whole network
+        on the mutation path; each engine advances its own digest."""
+        calls = multiprocessing.Value("i", 0)  # shared with the forks
+        real = fp_module.network_digest
+
+        def counting(network):
+            with calls.get_lock():
+                calls.value += 1
+            return real(network)
+
+        for module in (fp_module, engine_module):
+            monkeypatch.setattr(module, "network_digest", counting)
+        with WorkerPool(MACEngine(make_network()), 2) as pool:
+            assert calls.value == 1  # start(): once, before forking
+            for n in range(4):
+                toggle = add_social_edge if n % 2 == 0 else remove_social_edge
+                summary = pool.mutate_wire([toggle(1, 4)])
+                assert summary["uniform"] is True
+                assert summary["applied_workers"] == 2
+                assert summary["broadcast_s"] >= summary["worker_apply_s"] > 0
+            assert calls.value == 1
+        assert summary["fingerprint"] == network_fingerprint(make_network())

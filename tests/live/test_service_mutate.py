@@ -41,11 +41,11 @@ class TestMutateEndpoint:
     def test_mutate_and_serve_from_the_mutated_graph(self):
         svc = MACService(MACEngine(make_network()), port=0, max_concurrency=2)
         with svc, ServiceClient(port=svc.port) as client:
-            summary = client.mutate([
+            batch = [
                 add_social_edge(1, 4),
-                {"op": "update_attributes", "user": 3,
-                 "attributes": [9.5, 9.5, 9.5]},
-            ])
+                {"op": "update_attributes", "user": 3, "attributes": [9.5, 9.5, 9.5]},
+            ]
+            summary = client.mutate(batch)
             assert summary["applied"] == 2
             assert summary["delta_seq"] == 1
             assert summary["logged"] is False  # no snapshot behind this server
@@ -58,8 +58,9 @@ class TestMutateEndpoint:
             expected = MACEngine(make_network(mutate)).search(request)
             served = client.search(request)
             assert served.htk_vertices == expected.htk_vertices
-            assert [sorted(p.best) for p in served.partitions] == \
-                [sorted(e.best.members) for e in expected.partitions]
+            served_members = [sorted(p.best) for p in served.partitions]
+            expected_members = [sorted(e.best.members) for e in expected.partitions]
+            assert served_members == expected_members
 
             health = client.healthz()
             assert health["snapshot"]["delta_seq"] == 1
@@ -68,7 +69,8 @@ class TestMutateEndpoint:
             assert metrics["service"]["deltas_logged"] == 0
             assert metrics["engine"]["mutations"] == 2
             assert metrics["engine"]["mutations_by_kind"] == {
-                "add_social_edge": 1, "update_attributes": 1,
+                "add_social_edge": 1,
+                "update_attributes": 1,
             }
 
     def test_invalid_batch_is_a_typed_400(self):
@@ -91,81 +93,104 @@ class TestMutateEndpoint:
         network = make_network()
         MACEngine(network).save(snapshot)
         engine = MACEngine.load(snapshot, network)
-        svc = MACService(
-            engine, port=0, max_concurrency=2, snapshot_path=str(snapshot)
-        )
+        svc = MACService(engine, port=0, max_concurrency=2, snapshot_path=str(snapshot))
         with svc, ServiceClient(port=svc.port) as client:
             summary = client.mutate([update_attributes(3, [9.5, 9.5, 9.5])])
             assert summary["logged"] is True
             assert client.metrics()["service"]["deltas_logged"] == 1
         records = read_deltas(snapshot)
         assert [r["seq"] for r in records] == [1]
-        assert records[0]["mutations"] == [{
-            "op": "update_attributes", "user": 3,
-            "attributes": [9.5, 9.5, 9.5],
-        }]
+        update = {"op": "update_attributes", "user": 3, "attributes": [9.5, 9.5, 9.5]}
+        assert records[0]["mutations"] == [update]
         # a later boot from the same snapshot replays the mutation
         replayed = MACEngine.load(snapshot, make_network())
         assert replayed.delta_seq == 1
-        assert list(
-            replayed.network.social.attributes[3]
-        ) == [9.5, 9.5, 9.5]
+        assert list(replayed.network.social.attributes[3]) == [9.5, 9.5, 9.5]
 
 
 class TestThreadsTierFingerprint:
     def test_hash_overlapping_an_apply_is_never_cached(self, monkeypatch):
-        """A digest whose hashing started before an apply and finished
-        after it must not be cached as the post-mutation fingerprint."""
-        network = make_network()
+        """An identity read that overlaps an apply waits for the batch:
+        it never reports the digest of a half-applied network."""
+        engine = MACEngine(make_network())
+        executor = EngineExecutor(engine)
         applying, finish_apply = threading.Event(), threading.Event()
-        hashed, finish_hash = threading.Event(), threading.Event()
+        real_apply_one = engine._apply_one
 
-        class GatedEngine:
-            """Half-applies, waits on a gate, then finishes the batch."""
-
-            def __init__(self):
-                self.network = network
-
-            def apply(self, _mutations):
-                network.social.graph.add_edge(1, 4)
+        def gated_apply_one(m):
+            result = real_apply_one(m)
+            if not applying.is_set():
                 applying.set()
                 assert finish_apply.wait(timeout=30)
-                network.social.graph.add_edge(1, 15)
-                return {"applied": 2}
+            return result
 
-        real = fp_module.network_fingerprint
-
-        def gated_fingerprint(net):
-            digest = real(net)
-            if not hashed.is_set():
-                hashed.set()
-                assert finish_hash.wait(timeout=30)
-            return digest
-
-        monkeypatch.setattr(fp_module, "network_fingerprint", gated_fingerprint)
-        executor = EngineExecutor(GatedEngine())
-        mutator = threading.Thread(target=executor.mutate_wire, args=([],))
+        monkeypatch.setattr(engine, "_apply_one", gated_apply_one)
+        batch = [add_social_edge(1, 4), add_social_edge(1, 15)]
+        mutator = threading.Thread(target=executor.mutate_wire, args=(batch,))
         mutator.start()
         assert applying.wait(timeout=30)
-        # Hash the mid-mutation state, then hold the result until the
-        # apply and the cache reset that follows it have both finished.
-        hasher = threading.Thread(target=executor.fingerprint)
-        hasher.start()
-        assert hashed.wait(timeout=30)
+        # The first edge is in, the second is not: a read now must wait.
+        seen = []
+        reader = threading.Thread(target=lambda: seen.append(executor.snapshot_wire()))
+        reader.start()
+        reader.join(timeout=0.2)
+        assert reader.is_alive() and not seen
         finish_apply.set()
         mutator.join(timeout=30)
-        finish_hash.set()
-        hasher.join(timeout=30)
-        assert not mutator.is_alive() and not hasher.is_alive()
+        reader.join(timeout=30)
+        assert not mutator.is_alive() and not reader.is_alive()
 
         def mutate(net):
             net.social.graph.add_edge(1, 4)
             net.social.graph.add_edge(1, 15)
 
-        assert executor.fingerprint() == real(make_network(mutate))
-        assert executor.snapshot_wire()["fingerprint"] == real(
-            make_network(mutate)
-        )
+        mutated = fp_module.network_fingerprint(make_network(mutate))
+        assert seen[0]["fingerprint"] == mutated
+        assert seen[0]["delta_seq"] == 1
+        assert executor.fingerprint() == mutated
+
+    def test_snapshot_wire_never_pairs_digest_and_seq_wrongly(self):
+        """Polling the identity during a mutate loop: every reported
+        (fingerprint, delta_seq) pair describes one network state."""
+        engine = MACEngine(make_network())
+        executor = EngineExecutor(engine)
+
+        def toggled(net):
+            net.social.graph.add_edge(1, 4)
+
+        expected = [
+            fp_module.network_fingerprint(make_network()),
+            fp_module.network_fingerprint(make_network(toggled)),
+        ]
+        done, polled = threading.Event(), threading.Event()
+        seen: list = []
+
+        def poll():
+            while not done.is_set():
+                wire = executor.snapshot_wire()
+                seen.append((wire["fingerprint"], wire["delta_seq"]))
+                polled.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        pollers = [threading.Thread(target=poll) for _ in range(3)]
+        try:
+            for thread in pollers:
+                thread.start()
+            for n in range(40):
+                assert polled.wait(timeout=30)  # reads interleave writes
+                polled.clear()
+                op = "add_social_edge" if n % 2 == 0 else "remove_social_edge"
+                executor.mutate_wire([{"op": op, "u": 1, "v": 4}])
+        finally:
+            done.set()
+            for thread in pollers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pollers)
+        assert len({seq for _fp, seq in seen}) > 1
+        unmatched = [(fp, seq) for fp, seq in seen if fp != expected[seq % 2]]
+        assert not unmatched
 
     def test_concurrent_hashing_never_caches_a_stale_digest(self):
         """Stress: hashers racing a stream of real applies; once the
@@ -194,6 +219,4 @@ class TestThreadsTierFingerprint:
                 thread.join(timeout=30)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in hashers)
-        assert executor.fingerprint() == fp_module.network_fingerprint(
-            engine.network
-        )
+        assert executor.fingerprint() == fp_module.network_fingerprint(engine.network)

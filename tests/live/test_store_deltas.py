@@ -17,6 +17,8 @@ from tests.conftest import paper_attributes, paper_road, paper_social_graph
 
 REGION = PreferenceRegion([0.1, 0.2], [0.5, 0.4])
 
+ADD_1_4 = {"op": "add_social_edge", "u": 1, "v": 4}
+
 
 def make_network() -> RoadSocialNetwork:
     locations = {v: SpatialPoint.at_vertex(v) for v in range(1, 16)}
@@ -45,15 +47,12 @@ class TestAppendAndRead:
 
     def test_append_assigns_gapless_sequence(self, snapshot):
         assert append_delta(snapshot, [add_social_edge(1, 4)]) == 1
-        assert append_delta(
-            snapshot, [{"op": "remove_social_edge", "u": 1, "v": 4}]
-        ) == 2
+        remove = [{"op": "remove_social_edge", "u": 1, "v": 4}]
+        assert append_delta(snapshot, remove) == 2
         records = read_deltas(snapshot)
         assert [r["seq"] for r in records] == [1, 2]
         assert all(r["delta_version"] == DELTA_VERSION for r in records)
-        assert records[0]["mutations"] == [
-            {"op": "add_social_edge", "u": 1, "v": 4}
-        ]
+        assert records[0]["mutations"] == [{"op": "add_social_edge", "u": 1, "v": 4}]
         assert snapshot_info(snapshot)["delta_depth"] == 2
 
     def test_append_requires_a_real_snapshot(self, tmp_path):
@@ -62,34 +61,28 @@ class TestAppendAndRead:
 
 
 class TestReadValidation:
-    def _write(self, snapshot, text):
-        (snapshot / "deltas.jsonl").write_text(text)
+    def _write(self, snapshot, record):
+        (snapshot / "deltas.jsonl").write_text(json.dumps(record) + "\n")
 
     def test_corrupt_json_is_typed(self, snapshot):
-        self._write(snapshot, "{not json\n")
+        (snapshot / "deltas.jsonl").write_text("{not json\n")
         with pytest.raises(SnapshotError, match="corrupted delta log"):
             read_deltas(snapshot)
 
     def test_version_mismatch_is_typed(self, snapshot):
-        self._write(snapshot, json.dumps(
-            {"delta_version": 99, "seq": 1,
-             "mutations": [{"op": "add_social_edge", "u": 1, "v": 4}]}
-        ) + "\n")
+        self._write(snapshot, {"delta_version": 99, "seq": 1, "mutations": [ADD_1_4]})
         with pytest.raises(SnapshotError, match="version 99"):
             read_deltas(snapshot)
 
     def test_empty_mutations_is_typed(self, snapshot):
-        self._write(snapshot, json.dumps(
-            {"delta_version": DELTA_VERSION, "seq": 1, "mutations": []}
-        ) + "\n")
+        record = {"delta_version": DELTA_VERSION, "seq": 1, "mutations": []}
+        self._write(snapshot, record)
         with pytest.raises(SnapshotError, match="no mutations"):
             read_deltas(snapshot)
 
     def test_sequence_gap_is_typed(self, snapshot):
-        self._write(snapshot, json.dumps(
-            {"delta_version": DELTA_VERSION, "seq": 5,
-             "mutations": [{"op": "add_social_edge", "u": 1, "v": 4}]}
-        ) + "\n")
+        record = {"delta_version": DELTA_VERSION, "seq": 5, "mutations": [ADD_1_4]}
+        self._write(snapshot, record)
         with pytest.raises(SnapshotError, match="seq"):
             read_deltas(snapshot)
 
@@ -97,10 +90,8 @@ class TestReadValidation:
 class TestReplayOnLoad:
     def test_load_fast_forwards_through_the_log(self, snapshot):
         append_delta(snapshot, [add_social_edge(1, 4)])
-        append_delta(snapshot, [
-            remove_social_edge(2, 5),
-            update_attributes(3, [9.5, 9.5, 9.5]),
-        ])
+        batch = [remove_social_edge(2, 5), update_attributes(3, [9.5, 9.5, 9.5])]
+        append_delta(snapshot, batch)
         engine = MACEngine.load(snapshot, make_network())
         assert engine.delta_seq == 2
         graph = engine.network.social.graph

@@ -1,80 +1,52 @@
-"""Reference network fingerprint: per-edge tuples and ``sorted()``.
+"""Reference network digest: one ``struct``-packed record at a time.
 
-The original form of ``repro.store.fingerprint.network_fingerprint``,
-kept as the oracle of the vectorized implementation that replaced it.
-Snapshot manifests on disk carry the digest, so the two must agree
-byte for byte on every network.
+A deliberately naive restatement of the ``mset256:`` multiset digest of
+``repro.store.fingerprint``: walk the network's public accessors, pack
+each canonical record by hand, hash it with BLAKE2b-256, and add the
+hashes up mod 2^256.  Snapshot manifests carry the digest and live
+engines maintain it incrementally, so both the vectorized full
+computation and the per-mutation updates must agree with this on every
+network.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
+import math
+import struct
 
 from repro.social.roadsocial import RoadSocialNetwork
 
 
-def _update(h: "hashlib._Hash", tag: str, arr: np.ndarray) -> None:
-    """Hash one labelled array with an unambiguous shape/dtype header."""
-    h.update(tag.encode())
-    h.update(repr((arr.dtype.str, arr.shape)).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
+def record_hash(fmt: str, *fields) -> int:
+    """One record's BLAKE2b-256 hash as a little-endian integer."""
+    record = struct.pack("<" + fmt, *fields)
+    return int.from_bytes(hashlib.blake2b(record, digest_size=32).digest(), "little")
 
 
 def network_fingerprint(network: RoadSocialNetwork) -> str:
-    """Stable ``sha256:...`` digest of a road-social network's content."""
-    h = hashlib.sha256()
-
+    """``mset256:...`` digest of a road-social network's content."""
+    total = 0
     road = network.road
-    road_verts = np.asarray(sorted(road.vertices()), np.int64)
-    _update(h, "road.vertices", road_verts)
-    coords = np.asarray(
-        [
-            road.coordinates(v) if road.has_coordinates(v) else (np.nan, np.nan)
-            for v in road_verts.tolist()
-        ],
-        np.float64,
-    ).reshape(-1, 2)
-    _update(h, "road.coordinates", coords)
-    road_edges = sorted(road.edges())
-    _update(
-        h, "road.edges",
-        np.asarray([(u, v) for u, v, _w in road_edges], np.int64).reshape(-1, 2),
-    )
-    _update(
-        h, "road.weights",
-        np.asarray([w for _u, _v, w in road_edges], np.float64),
-    )
+    for v in road.vertices():
+        x, y = road.coordinates(v) if road.has_coordinates(v) else (math.nan,) * 2
+        total += record_hash("Bqdd", 1, v, x, y)
+    for u, v, w in road.edges():
+        u, v = min(u, v), max(u, v)
+        total += record_hash("Bqqd", 2, u, v, float(w))
 
     social = network.social
-    users = sorted(social.graph.vertices())
-    _update(h, "social.vertices", np.asarray(users, np.int64))
-    social_edges = sorted(
-        (u, v) if u <= v else (v, u) for u, v in social.graph.edges()
-    )
-    _update(
-        h, "social.edges",
-        np.asarray(social_edges, np.int64).reshape(-1, 2),
-    )
-    if users:
-        attrs = np.asarray(
-            [social.attributes[u] for u in users], np.float64
-        ).reshape(len(users), -1)
-    else:
-        attrs = np.zeros((0, 0))
-    _update(h, "social.attributes", attrs)
-    locs = np.asarray(
-        [
-            (
-                (p.u, -1 if p.v is None else p.v, p.offset)
-                if (p := social.locations.get(u)) is not None
-                else (-1, -1, np.nan)
-            )
-            for u in users
-        ],
-        np.float64,
-    ).reshape(-1, 3)
-    _update(h, "social.locations", locs)
-
-    return f"sha256:{h.hexdigest()}"
+    for u in social.graph.vertices():
+        total += record_hash("Bq", 3, u)
+        vector = [float(x) for x in social.attributes[u]]
+        total += record_hash("Bq" + "d" * len(vector), 5, u, *vector)
+        point = social.locations.get(u)
+        if point is not None:
+            if point.v is None:
+                ends = (point.u, 0, 0)
+            else:
+                ends = (point.u, point.v, 1)
+            total += record_hash("Bqqqqd", 6, u, *ends, float(point.offset))
+    for u, v in social.graph.edges():
+        total += record_hash("Bqq", 4, min(u, v), max(u, v))
+    return f"mset256:{total % 2**256:064x}"

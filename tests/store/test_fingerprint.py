@@ -26,8 +26,8 @@ class TestFingerprint:
 
     def test_format(self):
         fp = network_fingerprint(make_network())
-        assert fp.startswith("sha256:")
-        assert len(fp) == len("sha256:") + 64
+        assert fp.startswith("mset256:")
+        assert len(fp) == len("mset256:") + 64
 
     def test_sensitive_to_road_edge(self):
         net = make_network()

@@ -1,10 +1,12 @@
-"""The vectorized network fingerprint is byte-identical to its oracle.
+"""Both forms of the network digest agree with the per-record oracle.
 
-Snapshot manifests on disk carry the digest, so the vectorized
-``network_fingerprint`` must reproduce the per-edge-tuple reference in
-``tests/oracles/fingerprint.py`` exactly: on random networks (built in
-random insertion order), on the bundled datasets, and after every live
-mutation kind.
+Snapshot manifests on disk carry the digest and live engines maintain
+it per batch, so (a) the vectorized full ``network_fingerprint`` must
+reproduce the record-at-a-time reference in ``tests/oracles/
+fingerprint.py`` on random networks (sparse ids, random insertion
+order) and the bundled datasets, and (b) the digest ``MACEngine.apply``
+advances incrementally must equal a full recompute after every batch,
+of every mutation kind.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MACEngine, datasets
+from repro.errors import MutationError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.live import (
     add_social_edge,
@@ -34,6 +37,19 @@ from tests.oracles.fingerprint import network_fingerprint as oracle
 
 def assert_pinned(network: RoadSocialNetwork) -> None:
     assert network_fingerprint(network) == oracle(network)
+
+
+def assert_maintained(engine: MACEngine) -> None:
+    """The engine's incrementally kept digest is the full one."""
+    assert engine.identity()[0] == network_fingerprint(engine.network)
+    assert_pinned(engine.network)
+
+
+def maintained_engine(network: RoadSocialNetwork) -> MACEngine:
+    """An engine whose digest exists, so every apply advances it."""
+    engine = MACEngine(network)
+    engine.identity()
+    return engine
 
 
 @st.composite
@@ -67,6 +83,59 @@ def networks(draw) -> RoadSocialNetwork:
             a, b = draw(st.sampled_from(road_edges))
             locations[v] = SpatialPoint.on_edge(a, b, draw(st.floats(0, 50)))
     return RoadSocialNetwork(road, SocialNetwork(graph, attrs, locations))
+
+
+def draw_batch(data, network: RoadSocialNetwork) -> list:
+    """A valid batch of 1-6 random mutations of all five kinds.
+
+    Social edges are toggled against the batch's own prefix, so a pair
+    drawn twice is added then removed (or the reverse) in one batch.
+    """
+    social, road = network.social, network.road
+    users = list(social.graph.vertices())
+    edges = {frozenset(e) for e in social.graph.edges()}
+    road_ids = list(road.vertices())
+    road_edges = [(u, v) for u, v, _w in road.edges()]
+    kinds = []
+    if len(users) >= 2:
+        kinds.append("social")
+    if users:
+        kinds += ["attributes", "move"]
+    if road_edges:
+        kinds.append("road")
+    batch = []
+    d = social.dimensionality
+    for _ in range(data.draw(st.integers(1, 6)) if kinds else 0):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "social":
+            u, v = data.draw(pairs_of(users))
+            key = frozenset((u, v))
+            if key in edges:
+                batch.append(remove_social_edge(u, v))
+                edges.discard(key)
+            else:
+                batch.append(add_social_edge(u, v))
+                edges.add(key)
+        elif kind == "attributes":
+            user = data.draw(st.sampled_from(users))
+            vector = st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)
+            batch.append(update_attributes(user, data.draw(vector)))
+        elif kind == "move":
+            user = data.draw(st.sampled_from(users))
+            if road_edges and data.draw(st.booleans()):
+                a, b = data.draw(st.sampled_from(road_edges))
+                offset = data.draw(st.floats(0, road.weight(a, b)))
+                point = SpatialPoint.on_edge(a, b, offset)
+            else:
+                point = SpatialPoint.at_vertex(data.draw(st.sampled_from(road_ids)))
+            batch.append(move_user(user, point))
+        else:
+            u, v = data.draw(st.sampled_from(road_edges))
+            if data.draw(st.booleans()):
+                u, v = v, u
+            weight = data.draw(st.integers(0, 50) | st.floats(0, 1e3))
+            batch.append(update_road_weight(u, v, weight))
+    return batch
 
 
 def pairs_of(vertices: list) -> st.SearchStrategy:
@@ -124,6 +193,88 @@ class TestOracleAgreement:
         assert_pinned(datasets.aminer_case_study().network)
 
 
+class TestMaintainedDigest:
+    @settings(max_examples=100, deadline=None)
+    @given(networks(), st.data())
+    def test_random_batches(self, network, data):
+        engine = maintained_engine(network)
+        for _ in range(data.draw(st.integers(1, 4))):
+            batch = draw_batch(data, engine.network)
+            if not batch:
+                break
+            engine.apply(batch)
+            assert_maintained(engine)
+
+    def test_same_edge_twice_in_one_batch(self):
+        engine = maintained_engine(make_network())
+        base = engine.identity()[0]
+        engine.apply([add_social_edge(1, 4), remove_social_edge(4, 1)])
+        assert engine.identity()[0] == base
+        engine.apply(
+            [add_social_edge(1, 4), remove_social_edge(1, 4), add_social_edge(4, 1)]
+        )
+        assert engine.identity()[0] != base
+        assert_maintained(engine)
+
+    def test_same_record_rewritten_in_one_batch(self):
+        engine = maintained_engine(make_network())
+        engine.apply(
+            [
+                update_attributes(3, [1.0, 2.0, 3.0]),
+                update_attributes(3, [4.0, 5.0, 6.0]),
+                update_road_weight(1, 2, 9.0),
+                update_road_weight(2, 1, 7.5),
+            ]
+        )
+        assert_maintained(engine)
+
+    def test_noop_updates_keep_the_digest(self):
+        network = make_network()
+        engine = maintained_engine(network)
+        base = engine.identity()[0]
+        current = network.social.attributes[3].tolist()
+        engine.apply([update_attributes(3, current)])
+        engine.apply([update_road_weight(1, 2, network.road.weight(1, 2))])
+        engine.apply([move_user(4, network.social.locations[4])])
+        assert engine.identity()[0] == base
+        assert_maintained(engine)
+
+    def test_round_trips_return_to_the_base_digest(self):
+        network = make_network()
+        engine = maintained_engine(network)
+        base = engine.identity()[0]
+        weight = network.road.weight(99, 15)
+        point = network.social.locations[4]
+        vector = network.social.attributes[3].tolist()
+        engine.apply([add_social_edge(1, 4)])
+        engine.apply([update_road_weight(99, 15, 4.0)])
+        engine.apply([move_user(4, SpatialPoint.on_edge(2, 3, 1.0))])
+        engine.apply([update_attributes(3, [9.5, 9.5, 9.5])])
+        assert engine.identity()[0] != base
+        engine.apply([remove_social_edge(1, 4)])
+        engine.apply([update_road_weight(99, 15, weight)])
+        engine.apply([move_user(4, point)])
+        engine.apply([update_attributes(3, vector)])
+        assert engine.identity()[0] == base
+        assert engine.identity()[1] == 8
+
+    def test_signed_zero_is_content(self):
+        engine = maintained_engine(make_network())
+        engine.apply([update_attributes(3, [0.0, 0.0, 0.0])])
+        positive = engine.identity()[0]
+        engine.apply([update_attributes(3, [-0.0, 0.0, 0.0])])
+        assert engine.identity()[0] != positive
+        assert_maintained(engine)
+
+    def test_rejected_batch_keeps_the_digest(self):
+        engine = maintained_engine(make_network())
+        base = engine.identity()
+        with pytest.raises(MutationError):
+            engine.apply([add_social_edge(1, 4), add_social_edge(2, 3)])
+        assert engine.identity() == base
+        assert_maintained(engine)
+
+
 class TestAfterMutations:
     @pytest.mark.parametrize(
         "mutation",
@@ -139,8 +290,8 @@ class TestAfterMutations:
         ids=lambda m: m.kind,
     )
     def test_each_mutation_kind(self, mutation):
-        engine = MACEngine(make_network())
+        engine = maintained_engine(make_network())
         before = network_fingerprint(engine.network)
         engine.apply([mutation])
-        assert_pinned(engine.network)
+        assert_maintained(engine)
         assert network_fingerprint(engine.network) != before

@@ -165,7 +165,7 @@ class TestRoundTrip:
         engine.search(request_)
         manifest = engine.save(tmp_path / "snap")
         assert manifest["format_version"] == FORMAT_VERSION
-        assert manifest["fingerprint"].startswith("sha256:")
+        assert manifest["fingerprint"].startswith("mset256:")
         info = snapshot_info(tmp_path / "snap")
         assert info["entry_counts"] == {
             "filter": 1, "core": 1, "dominance": 1,
@@ -209,6 +209,17 @@ class TestFailureModes:
         _engine, _result, path = warmed_snapshot(tmp_path, request_)
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["format_version"] = 1
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="rebuild"):
+            MACEngine.load(path, make_network())
+
+    def test_format_2_snapshot_asks_for_a_rebuild(self, tmp_path, request_):
+        # Format 2 recorded a sha256 fingerprint the engine can no
+        # longer verify or maintain; refused, never misread.
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        manifest["fingerprint"] = "sha256:" + "0" * 64
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="rebuild"):
             MACEngine.load(path, make_network())

@@ -233,12 +233,12 @@ class TestIndexCommand:
         out = self._build(tmp_path, capsys, "--warm", str(warm))
         built = capsys.readouterr().out
         assert "snapshot written" in built
-        assert "fingerprint  sha256:" in built
+        assert "fingerprint  mset256:" in built
         assert "filter=1 core=1 dominance=1" in built
 
         assert main(["index", "info", out]) == 0
         info = capsys.readouterr().out
-        assert "repro-index-snapshot v2" in info
+        assert "repro-index-snapshot v3" in info
         assert "g-tree" in info
         # The input picks the compute path: no snapshot records one.
         assert "backend" not in built and "backend" not in info
