@@ -31,8 +31,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 import repro.kernels.backend as paths
 from repro import MACEngine, MACRequest, PreferenceRegion, datasets
 from repro.errors import DatasetError, QueryError
@@ -68,16 +66,16 @@ def forced_path(side: str):
     """Force every size rule of ``repro.kernels.backend`` to ``side``.
 
     ``"flat"`` or ``"python"``: inside the block every input sits on
-    that side of each rule (stage kernels, G-tree, search loops), which
-    is how the python-vs-flat benchmarks time both paths of one build.
+    that side of each rule (G-tree, global search loop), which is how
+    the python-vs-flat benchmarks time both paths of one build.
     """
-    saved = (paths.FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE)
+    saved = (paths.GTREE_FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE)
     threshold = {"flat": 0, "python": sys.maxsize}[side]
-    paths.FLAT_MIN_VERTICES = paths.GS_FLAT_MIN_CORE = threshold
+    paths.GTREE_FLAT_MIN_VERTICES = paths.GS_FLAT_MIN_CORE = threshold
     try:
         yield
     finally:
-        paths.FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE = saved
+        paths.GTREE_FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE = saved
 
 
 def t_values_for(ds) -> tuple[float, ...]:

@@ -1,15 +1,15 @@
-"""Kernel micro-benchmark: the python path vs the flat path.
+"""Kernel micro-benchmark: the reference python loops vs the flat kernels.
 
 Times the hot kernels of the reproduction on the largest bundled
 dataset (fl+yelp) and emits ``BENCH_kernels.json`` with speedup ratios
-— the per-kernel perf trajectory the size rules of
-``repro.kernels.backend`` rest on:
+— the per-kernel perf trajectory of the CSR rewrite:
 
 * **core decomposition** — batch peeling over CSR arrays vs the
-  position-swap Batagelj–Zaversnik bucket walk.  Reported one-shot
-  (CSR conversion included, how ``core_decomposition`` pays it on a
-  large graph) and prepared (conversion amortized, how the engine's
-  cached filter stage pays it).
+  position-swap Batagelj–Zaversnik bucket walk (the reference oracle
+  ``tests/oracles/kcore.py``).  Reported one-shot (CSR conversion
+  included, how ``core_decomposition`` pays it) and prepared
+  (conversion amortized, how the engine's cached filter stage pays
+  it).
 * **dominance graph** — one (n, p) corner-score matrix with vectorized
   dominator detection vs the per-vertex pairwise reference
   (``tests/oracles/dominance.py``).
@@ -35,12 +35,15 @@ from pathlib import Path
 from repro import datasets
 from repro.dominance.graph import DominanceGraph
 from repro.geometry.region import PreferenceRegion
-from repro.graph.core import _core_decomposition_python
+from repro.graph.core import core_decomposition
 from repro.kernels import FlatGraph, core_numbers
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 from tests.oracles.dominance import ReferenceDominanceGraph  # noqa: E402
+from tests.oracles.kcore import (  # noqa: E402
+    core_decomposition as reference_core_decomposition,
+)
 
 OUTPUT = ROOT / "BENCH_kernels.json"
 
@@ -54,7 +57,7 @@ MIN_SPEEDUP = 3.0
 #: CI perf-trajectory floors (see benchmarks/check_trajectory.py, which
 #: fails a run measuring below ``floor * (1 - tolerance)``).  Quick mode
 #: runs at scale 0.15, where the flat graph kernels sit *below* their
-#: flat-path threshold — their honest quick floor is break-even-ish,
+#: one-shot breakeven — their honest quick floor is break-even-ish,
 #: while the dominance matrix path and the snapshot warm start stay
 #: decisively ahead at any scale.  Values are ~half the speedups
 #: measured on a dev laptop, leaving headroom for slower CI runners.
@@ -74,19 +77,13 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
-def flat_core_decomposition(graph) -> dict:
-    """The flat path of ``core_decomposition``, whatever the graph size."""
-    fg = FlatGraph.from_adjacency(graph)
-    return fg.relabel(core_numbers(fg))
-
-
 def bench_core(ds, repeats: int) -> dict:
     graph = ds.network.social.graph
-    python_s = best_of(lambda: _core_decomposition_python(graph), repeats)
-    one_shot_s = best_of(lambda: flat_core_decomposition(graph), repeats)
+    python_s = best_of(lambda: reference_core_decomposition(graph), repeats)
+    one_shot_s = best_of(lambda: core_decomposition(graph), repeats)
     fg = FlatGraph.from_adjacency(graph)
     prepared_s = best_of(lambda: core_numbers(fg), repeats)
-    assert flat_core_decomposition(graph) == _core_decomposition_python(graph)
+    assert core_decomposition(graph) == reference_core_decomposition(graph)
     return {
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,

@@ -17,6 +17,9 @@ footprint eviction, and warm-filter repair on every batch — interleaved
 with warm queries, and reports how many of those queries still answered
 straight from the result cache (the dirty-region invalidation dividend).
 Emits ``BENCH_live.json``.
+
+Run from this directory: ``PYTHONPATH=../src python bench_live.py``
+(the repository root is put on ``sys.path`` for the oracle import).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import MACEngine, MACRequest, PreferenceRegion, datasets
-from repro.graph.core import _core_decomposition_python
+from repro.graph.core import core_decomposition
 from repro.kernels import FlatGraph, core_numbers
 from repro.kernels.livecore import (
     delete_edge_rows,
@@ -40,7 +43,13 @@ from repro.kernels.livecore import (
 )
 from repro.live import add_social_edge, remove_social_edge
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_live.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from tests.oracles.kcore import (  # noqa: E402
+    core_decomposition as reference_core_decomposition,
+)
+
+OUTPUT = ROOT / "BENCH_live.json"
 
 DATASET = "fl+yelp"
 
@@ -189,13 +198,9 @@ def main(argv: list[str] | None = None) -> int:
 
     ds = datasets.load_dataset(DATASET, scale=scale, seed=7)
     repair = bench_repair(ds, steps, rng)
-    # python-reference cross-check on a small prefix of the same walk:
-    # the dict repair and the row kernels must tell the same story
+    # the kernel and the reference decomposition agree on the dataset
     graph = ds.network.social.graph
-    assert _core_decomposition_python(graph) == \
-        FlatGraph.from_adjacency(graph).relabel(
-            core_numbers(FlatGraph.from_adjacency(graph))
-        )
+    assert reference_core_decomposition(graph) == core_decomposition(graph)
     throughput = bench_engine_throughput(ds, scale, mutations, rng)
 
     results = {

@@ -2,11 +2,16 @@
 
 Times the two search algorithms over *prepared* state (range filter,
 (k,t)-core, r-dominance graph all warmed outside the timed window, the
-``_harness.timed_search`` protocol) with the search loop forced to each
-side (``_harness.forced_path``), so the measured delta is exactly the
-flat-kernel rewrite of the hot loops: CSR cascade peeling + batch
-degree updates in the global search's deletion chains, and the
-array-backed push frontier in the local search's Expand.
+``_harness.timed_search`` protocol) on each loop, so the measured delta
+is exactly the flat-kernel rewrite of the hot loops: CSR cascade
+peeling + batch degree updates in the global search's deletion chains,
+and the array-backed push frontier in the local search's Expand.  The
+global search runs through the engine with its size rule forced to each
+side (``_harness.forced_path``).  The engine runs the local search on
+the flat loop only, so both local loops are timed by building
+``LocalSearch`` over the engine's prepared core and dominance graph,
+once with the engine's CSR view of H^t_k (``flat``) and once without
+(``python``, the dict reference loop).
 
 Every measured pair is checked for result equivalence (same communities
 from both loops).  Emits ``BENCH_search.json`` with per-algorithm
@@ -26,6 +31,7 @@ import time
 from pathlib import Path
 
 from repro import MACRequest
+from repro.core.local_search import LocalSearch
 
 import _harness as harness
 
@@ -64,9 +70,38 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+def communities(partitions) -> set:
+    return {c for entry in partitions for c in entry.communities}
+
+
+def global_run(engine, request, side: str):
+    """GS through the engine, its size rule forced to ``side``."""
+    with harness.forced_path(side):
+        return communities(engine.search(request).partitions)
+
+
+def local_run(engine, request, side: str):
+    """LS over the engine's prepared state on the ``side`` loop."""
+    state, _hit = engine._core_cache.peek(request.core_key)
+    if state.core is None:
+        return set()
+    gd, _hit = engine._gd_cache.peek(request.dominance_key)
+    searcher = LocalSearch(
+        state.core.graph, gd, request.query, request.k, request.region,
+        strategy=request.strategy,
+        max_candidates=request.max_candidates,
+        certification=request.certification,
+        flat=engine._search_flat(state) if side == "flat" else None,
+    )
+    if request.problem == "nc":
+        return communities(searcher.search_nc())
+    return communities(searcher.search_topj(request.j))
+
+
 def bench_algorithm(ds, queries, k, t, region, algorithm, problem, j,
                     repeats: int) -> dict:
     engine = harness.engine_for(ds)
+    run = global_run if algorithm == "global" else local_run
     times = {"flat": 0.0, "python": 0.0}
     measured = 0
     for query in queries:
@@ -77,21 +112,18 @@ def bench_algorithm(ds, queries, k, t, region, algorithm, problem, j,
         )
         results = {}
         for side in ("flat", "python"):
-            with harness.forced_path(side):
-                # The harness warm idiom: prepared stages (and for
-                # "flat", the search CSR view on first search) are paid
-                # outside the timed window, so the loop itself is what's
-                # measured.
-                engine.warm(request)
-                engine.search(request)
-                times[side] += best_of(
-                    lambda r=request: engine.search(r), repeats
-                )
-                results[side] = engine.search(request)
-        assert results["flat"].communities() == \
-            results["python"].communities(), (
-                f"{algorithm} loop mismatch on Q={query}"
+            # The harness warm idiom: prepared stages (and for "flat",
+            # the search CSR view on first search) are paid outside the
+            # timed window, so the loop itself is what's measured.
+            engine.warm(request)
+            run(engine, request, side)
+            times[side] += best_of(
+                lambda r=request: run(engine, r, side), repeats
             )
+            results[side] = run(engine, request, side)
+        assert results["flat"] == results["python"], (
+            f"{algorithm} loop mismatch on Q={query}"
+        )
         measured += 1
     if not measured:
         return {"queries": 0, "speedup": math.nan}

@@ -386,7 +386,9 @@ class LocalSearch:
         #: Optional CSR view of ``htk`` (same vertex set) — the "flat"
         #: search backend: expand, the k-ĉore probes, and the peeling
         #: certifications run over int row arrays with batch degree
-        #: updates instead of dict subgraph copies.
+        #: updates instead of dict subgraph copies.  The engine always
+        #: passes one; ``None`` runs the dict loop, the reference that
+        #: ``tests/core/test_search_backends.py`` compares against.
         self.flat = flat
         self._qrows: list[int] = [] if flat is None else flat.rows_of(
             tuple(sorted(set(query)))

@@ -41,7 +41,6 @@ from repro.dominance.graph import DominanceGraph
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.request import MACRequest
 from repro.errors import DeadlineExceeded, QueryError
-from repro.graph.core import core_decomposition
 from repro.kernels import (
     FlatGraph,
     core_numbers,
@@ -52,14 +51,13 @@ from repro.kernels import (
     repair_insert_rows,
     search_flatgraph,
 )
-from repro.kernels.backend import gs_path, stage_path
+from repro.kernels.backend import gs_path
 from repro.live.invalidate import (
     RepairDelta,
     attribute_dirty,
     edge_dirty_delete,
     edge_dirty_insert,
 )
-from repro.live.kcore import repair_delete, repair_insert
 from repro.live.mutations import (
     AddSocialEdge,
     MoveUser,
@@ -68,11 +66,7 @@ from repro.live.mutations import (
     normalize_batch,
     validate_batch,
 )
-from repro.social.roadsocial import (
-    KTCore,
-    RoadSocialNetwork,
-    kt_core_from_coreness,
-)
+from repro.social.roadsocial import KTCore, RoadSocialNetwork
 from repro.store.fingerprint import (
     advance_digest,
     format_digest,
@@ -94,12 +88,12 @@ SEARCHER_NAMES = {
 
 @dataclass
 class _PreparedFilter:
-    """Cached per-(Q, t) state: Lemma-1 filter plus coreness arrays.
+    """Cached per-(Q, t) state: Lemma-1 filter plus its coreness array.
 
-    On the flat path the stage also materializes the CSR view of the
-    filtered subgraph and the per-row coreness array, so every later
-    (Q, k, t) core extraction reuses them instead of re-deriving flat
-    state per k.
+    ``flat`` is the CSR view of the filtered subgraph (0 rows when the
+    filter keeps nobody) and ``core_rows`` the coreness of each of its
+    rows, so every later (Q, k, t) core extraction reuses them instead
+    of re-deriving state per k.
 
     Invariant: a cached entry is immutable, ``filtered`` included.  A
     live repair builds a new entry whose graph shares every adjacency
@@ -111,10 +105,12 @@ class _PreparedFilter:
 
     query_distance: dict[int, float]
     filtered: object  # AdjacencyGraph of the t-bounded social subgraph
-    coreness: dict[int, int]
-    max_coreness: int
-    flat: FlatGraph | None = None
-    core_rows: object | None = None  # np.ndarray aligned with flat rows
+    flat: FlatGraph
+    core_rows: np.ndarray  # coreness, aligned with flat rows
+
+    @property
+    def max_coreness(self) -> int:
+        return int(self.core_rows.max(initial=0))
 
 
 @dataclass
@@ -245,7 +241,6 @@ class QueryPlan:
     algorithm_reason: str
     searcher: str
     filter_strategy: str
-    backend: str
     search_backend: str
     frontier: str
     gtree_built: bool
@@ -262,7 +257,6 @@ class QueryPlan:
             f"  searcher        {self.searcher} ({self.algorithm_reason})",
             f"  range filter    {self.filter_strategy} "
             f"(G-tree built: {self.gtree_built})",
-            f"  backend         {self.backend}",
             f"  search          backend={self.search_backend}, "
             f"frontier={self.frontier}",
             f"  cached stages   "
@@ -520,9 +514,8 @@ class MACEngine:
 
         * social edge inserts/deletes mutate the network, then *repair*
           every warm (Q, t) filter entry containing both endpoints —
-          bounded incremental k-core maintenance on the entry's own
-          representation (flat CSR kernels or the python reference)
-          instead of a full re-peel — and evict only the downstream
+          bounded incremental k-core maintenance on the entry's CSR
+          rows instead of a full re-peel — and evict only the downstream
           (k,t)-core / dominance / result entries whose member sets the
           edge can actually have changed (:mod:`repro.live.invalidate`);
         * attribute updates evict exactly the entries whose member sets
@@ -649,13 +642,10 @@ class MACEngine:
         for fkey, prep in self._filter_cache.items():
             warm.add(fkey)
             if u in prep.query_distance and v in prep.query_distance:
-                new_prep, changed = self._repaired_filter_entry(
+                new_prep, deltas[fkey] = self._repaired_filter_entry(
                     prep, u, v, inserted
                 )
                 self._filter_cache.put(fkey, new_prep)
-                deltas[fkey] = RepairDelta(
-                    changed=changed, coreness=new_prep.coreness
-                )
                 repaired += 1
         evicted = 0
         kept_cores: set = set()
@@ -696,50 +686,40 @@ class MACEngine:
 
     def _repaired_filter_entry(
         self, prep: _PreparedFilter, u: int, v: int, inserted: bool
-    ) -> tuple[_PreparedFilter, dict]:
+    ) -> tuple[_PreparedFilter, RepairDelta]:
         """Copy-on-write repair of one warm (Q, t) entry after an edge op.
 
         The cached entry is never mutated in place — queries already
         holding it keep a consistent pre-mutation view; the repaired
         copy replaces it in the cache, sharing every adjacency set but
-        the two endpoints' with it.  The entry's own representation
-        picks the repair: flat entries splice the CSR and run the row
-        kernels of :mod:`repro.kernels.livecore`, python entries the
-        dict reference of :mod:`repro.live.kcore`.
+        the two endpoints' with it.  The CSR is spliced and the coreness
+        rows repaired by the kernels of :mod:`repro.kernels.livecore`.
         """
-        filtered = prep.filtered.toggled(u, v)
-        coreness = dict(prep.coreness)
-        if prep.flat is not None:
-            ru, rv = prep.flat.row_of(u), prep.flat.row_of(v)
-            if inserted:
-                flat = insert_edge_rows(prep.flat, ru, rv)
-                core_rows, changed_rows = repair_insert_rows(
-                    flat, prep.core_rows.copy(), ru, rv
-                )
-            else:
-                flat = delete_edge_rows(prep.flat, ru, rv)
-                core_rows, changed_rows = repair_delete_rows(
-                    flat, prep.core_rows.copy(), ru, rv
-                )
-            changed = {}
-            for row in changed_rows.tolist():
-                vid = flat.ids[row]
-                coreness[vid] = changed[vid] = int(core_rows[row])
+        ru, rv = prep.flat.row_of(u), prep.flat.row_of(v)
+        if inserted:
+            flat = insert_edge_rows(prep.flat, ru, rv)
+            core_rows, changed_rows = repair_insert_rows(
+                flat, prep.core_rows.copy(), ru, rv
+            )
         else:
-            flat = core_rows = None
-            if inserted:
-                changed = repair_insert(filtered, coreness, u, v)
-            else:
-                changed = repair_delete(filtered, coreness, u, v)
+            flat = delete_edge_rows(prep.flat, ru, rv)
+            core_rows, changed_rows = repair_delete_rows(
+                flat, prep.core_rows.copy(), ru, rv
+            )
         new_prep = _PreparedFilter(
             query_distance=prep.query_distance,
-            filtered=filtered,
-            coreness=coreness,
-            max_coreness=max(coreness.values(), default=0),
+            filtered=prep.filtered.toggled(u, v),
             flat=flat,
             core_rows=core_rows,
         )
-        return new_prep, changed
+        delta = RepairDelta(
+            changed={
+                flat.ids[row]: int(core_rows[row])
+                for row in changed_rows.tolist()
+            },
+            endpoint_coreness=(int(core_rows[ru]), int(core_rows[rv])),
+        )
+        return new_prep, delta
 
     # ------------------------------------------------------------------
     # the staged, cached pipeline
@@ -763,21 +743,13 @@ class MACEngine:
             return self._default_use_gtree
         return request.use_gtree
 
-    def _stage_path(self) -> str:
-        """``"flat"``/``"python"`` of the staged kernels, by social size.
-
-        Decided against the whole social network (the substrate every
-        staged kernel runs on), so every entry of one engine shares a
-        representation; no mutation kind adds users.
-        """
-        return stage_path(self.network.social.num_users)
-
     def _search_path(self, algorithm: str, htk_vertices: int) -> str:
         """The loop a searcher runs on: the one rule that both
-        :meth:`_execute` and :meth:`explain` report."""
+        :meth:`_execute` and :meth:`explain` report.  The local search
+        always runs the flat loop."""
         if algorithm == "global":
             return gs_path(htk_vertices)
-        return self._stage_path()
+        return "flat"
 
     def _prepared_filter(
         self,
@@ -795,19 +767,12 @@ class MACEngine:
                 request.query, request.t, use_gtree=use_gtree
             )
             filtered = self.network.social.graph.subgraph(dq)
-            flat = core_rows = None
-            if self._stage_path() == "flat" and filtered.num_vertices:
-                flat = FlatGraph.from_adjacency(filtered)
-                core_rows = core_numbers(flat)
-                coreness = flat.relabel(core_rows)
-            else:
-                coreness = core_decomposition(filtered)
+            flat = FlatGraph.from_adjacency(filtered)
+            core_rows = core_numbers(flat)
             times["filter"] = time.perf_counter() - start
             return _PreparedFilter(
                 query_distance=dq,
                 filtered=filtered,
-                coreness=coreness,
-                max_coreness=max(coreness.values(), default=0),
                 flat=flat,
                 core_rows=core_rows,
             )
@@ -821,29 +786,21 @@ class MACEngine:
     def _extract_core(
         self, prep: _PreparedFilter, request: MACRequest
     ) -> KTCore | None:
-        """H^t_k from prepared filter state (flat fast path when cached)."""
-        if prep.flat is not None:
-            flat = prep.flat
-            if any(q not in flat for q in request.query):
-                return None
-            comp = k_core_component(
-                flat, flat.rows_of(request.query), request.k, prep.core_rows
-            )
-            if comp is None:
-                return None
-            graph = prep.filtered.subgraph(flat.select_ids(comp))
-            return KTCore(
-                graph=graph,
-                query_distance={
-                    v: prep.query_distance[v] for v in graph.vertices()
-                },
-            )
-        return kt_core_from_coreness(
-            prep.filtered,
-            prep.coreness,
-            prep.query_distance,
-            request.query,
-            request.k,
+        """H^t_k from prepared filter state (Lemma 2/3 on its CSR rows)."""
+        flat = prep.flat
+        if any(q not in flat for q in request.query):
+            return None
+        comp = k_core_component(
+            flat, flat.rows_of(request.query), request.k, prep.core_rows
+        )
+        if comp is None:
+            return None
+        graph = prep.filtered.subgraph(flat.select_ids(comp))
+        return KTCore(
+            graph=graph,
+            query_distance={
+                v: prep.query_distance[v] for v in graph.vertices()
+            },
         )
 
     def _prepared_core(
@@ -1183,7 +1140,6 @@ class MACEngine:
             "label": request.label,
             "algorithm": algorithm,
             "filter_strategy": "gtree" if use_gtree else "dijkstra",
-            "backend": self._stage_path(),
             "search_backend": search_path,
             "cache": dict(tel_cache),
             "timings": timings,
@@ -1279,9 +1235,7 @@ class MACEngine:
         elif result_cached:
             pass  # already resolved from the cached result above
         elif prep_cached:
-            upper = sum(
-                1 for c in prep.coreness.values() if c >= request.k
-            )
+            upper = int(np.count_nonzero(prep.core_rows >= request.k))
             if any(q not in prep.query_distance for q in request.query):
                 feasible = False
                 upper = 0
@@ -1356,7 +1310,6 @@ class MACEngine:
             algorithm_reason=reason,
             searcher=searcher,
             filter_strategy="gtree" if use_gtree else "dijkstra",
-            backend=self._stage_path(),
             search_backend=search_path,
             frontier=frontier,
             gtree_built=self.network.has_gtree,

@@ -9,9 +9,7 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.core import (
     core_decomposition,
     coreness_upper_bound,
-    k_core,
     k_core_containing,
-    k_cores_containing,
     peel_to_k_core,
 )
 from repro.graph.truss import k_truss, truss_decomposition
@@ -25,9 +23,7 @@ __all__ = [
     "AdjacencyGraph",
     "core_decomposition",
     "coreness_upper_bound",
-    "k_core",
     "k_core_containing",
-    "k_cores_containing",
     "peel_to_k_core",
     "k_truss",
     "truss_decomposition",

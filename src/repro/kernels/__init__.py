@@ -6,9 +6,10 @@ assembly, corner-score dominance sweeps — has a vectorized
 implementation here, operating on an int-indexed CSR graph
 (:class:`FlatGraph`) instead of dicts-of-sets.  The higher layers
 (``graph.core``, ``road.gtree``, ``dominance.graph``, the engine)
-delegate to these kernels behind their existing APIs; the input size
-picks the path (:mod:`repro.kernels.backend`), and the pure-Python paths
-are asserted equivalent in ``tests/kernels/``.
+delegate to these kernels behind their existing APIs.  The G-tree and
+the global search keep a python path that the input size picks
+(:mod:`repro.kernels.backend`); the kernels are asserted equivalent to
+the python paths and the reference oracles in ``tests/kernels/``.
 """
 
 from repro.kernels.core import (

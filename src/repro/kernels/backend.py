@@ -1,29 +1,28 @@
 """Which compute path runs: one size rule per call site.
 
-Every hot kernel has a vectorized CSR path (``"flat"``) and a
+Two hot kernels still have a vectorized CSR path (``"flat"``) and a
 dict/heap path (``"python"``) that return identical results.  The
 input alone picks between them: array setup has a fixed cost the dict
 paths do not pay on small inputs, so each call site switches to the
 flat path at a measured size.  Each rule reads its module constant
 when it is called.
 
-* :func:`stage_path` — the stage kernels (core decomposition, peeling,
-  the engine's filter/core stages and the local search) by the number
-  of social-graph vertices;
 * :func:`gtree_path` — the G-tree matrix assembly by road vertices;
 * :func:`gs_path` — the global search loop by |H^t_k|.
 
-Bounded Dijkstra always runs the heap loop and the r-dominance graph
-is always built on the corner-score matrix; neither has a size rule.
+Every other kernel has one path: the stage kernels (core
+decomposition, peeling, the engine's filter/core stages, live k-core
+repair) and the engine's local search run on CSR, bounded Dijkstra
+runs the heap loop, and the r-dominance graph is built on the
+corner-score matrix.
 """
 
 from __future__ import annotations
 
-#: The stage kernels and the G-tree switch to the flat path at this
-#: vertex count.  The flat paths pay a CSR conversion per call; measured
-#: one-shot breakeven against the python paths sits around a couple
-#: thousand vertices.
-FLAT_MIN_VERTICES = 2048
+#: The G-tree matrix assembly switches to the flat path at this road
+#: vertex count; below it the per-border loops are cheaper than the
+#: array setup.
+GTREE_FLAT_MIN_VERTICES = 2048
 
 #: The global search (Algorithm 1) runs on the flat CSR loop from this
 #: |H^t_k| up, on the set-based loop below it.  A flat peel round makes
@@ -35,14 +34,9 @@ FLAT_MIN_VERTICES = 2048
 GS_FLAT_MIN_CORE = 1700
 
 
-def stage_path(num_vertices: int) -> str:
-    """``"flat"`` or ``"python"`` for stage kernels over a social graph."""
-    return "flat" if num_vertices >= FLAT_MIN_VERTICES else "python"
-
-
 def gtree_path(road_vertices: int) -> str:
     """``"flat"`` or ``"python"`` for the G-tree over a road network."""
-    return "flat" if road_vertices >= FLAT_MIN_VERTICES else "python"
+    return "flat" if road_vertices >= GTREE_FLAT_MIN_VERTICES else "python"
 
 
 def gs_path(core_vertices: int) -> str:

@@ -1,4 +1,4 @@
-"""Incremental k-core maintenance on CSR rows (the flat backend).
+"""Incremental k-core maintenance on CSR rows.
 
 The live-mutation counterpart of :func:`repro.kernels.core.core_numbers`:
 instead of re-peeling the whole graph after a social edge insert/delete,
@@ -20,9 +20,9 @@ subcore spans most of the graph:
   starts at the endpoints and touches only vertices that actually fall
   plus their immediate frontier.
 
-The python reference implementation with identical semantics lives in
-:mod:`repro.live.kcore`; both are exercised against full re-peels by the
-randomized equivalence suite in ``tests/live``.
+The dict reference implementation with identical semantics is the
+oracle ``tests/oracles/kcore.py``; the randomized equivalence suite in
+``tests/live`` pits both against full re-peels.
 
 Edges are spliced into the immutable CSR by :func:`insert_edge_rows` /
 :func:`delete_edge_rows`, which return a new :class:`FlatGraph` sharing

@@ -3,10 +3,10 @@
 A production road-social graph is not frozen — friendships appear and
 disappear, user attributes drift, users move, road segments slow down.
 This package is the mutation side of the engine: five typed mutation
-kinds, batch validation with all-or-nothing semantics, bounded
-incremental k-core maintenance (python reference here, flat CSR kernels
-in :mod:`repro.kernels.livecore`), and the footprint rules that decide
-which warm cache entries a mutation actually dirties.
+kinds, batch validation with all-or-nothing semantics, and the
+footprint rules that decide which warm cache entries a mutation
+actually dirties.  The bounded incremental k-core maintenance that
+repairs warm entries is :mod:`repro.kernels.livecore`.
 
 Entry points:
 
@@ -18,7 +18,6 @@ Entry points:
   delta log beside a snapshot, replayed by :meth:`MACEngine.load`.
 """
 
-from repro.live.kcore import repair_delete, repair_insert
 from repro.live.mutations import (
     MUTATION_KINDS,
     AddSocialEdge,
@@ -52,8 +51,6 @@ __all__ = [
     "mutation_to_wire",
     "normalize_batch",
     "remove_social_edge",
-    "repair_delete",
-    "repair_insert",
     "update_attributes",
     "update_road_weight",
     "validate_batch",

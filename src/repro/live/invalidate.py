@@ -51,12 +51,12 @@ class RepairDelta:
     """Outcome of repairing one warm filter entry after an edge mutation.
 
     ``changed`` maps vertex -> new coreness for every vertex the repair
-    moved; ``coreness`` is the full post-repair coreness map of the
-    entry (shared by reference, not copied).
+    moved; ``endpoint_coreness`` is the post-repair coreness of the
+    edge's two endpoints, read from the entry's coreness rows.
     """
 
     changed: dict
-    coreness: dict
+    endpoint_coreness: tuple[int, int]
 
 
 def edge_dirty_insert(k: int, members, delta: RepairDelta | None, u, v) -> bool:
@@ -74,7 +74,7 @@ def edge_dirty_insert(k: int, members, delta: RepairDelta | None, u, v) -> bool:
     if members is None:
         # Feasibility can flip without any coreness change: the new edge
         # may merge k-core components that separated the query set.
-        return delta.coreness.get(u, 0) >= k and delta.coreness.get(v, 0) >= k
+        return min(delta.endpoint_coreness) >= k
     return u in members or v in members
 
 

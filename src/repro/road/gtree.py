@@ -106,7 +106,7 @@ class GTree:
     leaf_size:
         Maximum number of vertices per leaf node.
 
-    Road networks of :data:`~repro.kernels.backend.FLAT_MIN_VERTICES`
+    Road networks of :data:`~repro.kernels.backend.GTREE_FLAT_MIN_VERTICES`
     or more vertices assemble the distance matrices with the vectorized
     kernels (dense min-plus all-pairs per node instead of a python
     Dijkstra per border) on the road's cached CSR view; smaller ones

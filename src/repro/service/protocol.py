@@ -47,6 +47,11 @@ PROTOCOL_VERSION = 3
 #: still a 400 ``QueryError``.
 LEGACY_BACKENDS = ("auto", "flat", "python")
 
+#: The plan ``backend`` that protocol v3 still sends: every stage runs on
+#: CSR, so it is a constant.  Drop it with :data:`LEGACY_BACKENDS` at the
+#: next protocol version.
+PLAN_BACKEND = "flat"
+
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 8321
 
@@ -299,7 +304,6 @@ _PLAN_FIELDS = (
     "algorithm_reason",
     "searcher",
     "filter_strategy",
-    "backend",
     "search_backend",
     "frontier",
     "gtree_built",
@@ -315,6 +319,7 @@ _PLAN_FIELDS = (
 def plan_to_wire(plan) -> dict:
     """A :class:`~repro.engine.QueryPlan` as JSON-able data."""
     wire = {name: getattr(plan, name) for name in _PLAN_FIELDS}
+    wire["backend"] = PLAN_BACKEND
     wire["request"] = request_to_wire(plan.request)
     wire["summary"] = plan.summary()
     return wire
@@ -330,7 +335,6 @@ class ServicePlan:
     algorithm_reason: str
     searcher: str
     filter_strategy: str
-    backend: str
     search_backend: str
     frontier: str
     gtree_built: bool

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueryError
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.core import core_decomposition, coreness_upper_bound
+from repro.graph.core import coreness_upper_bound, k_core_containing
 from repro.road.dijkstra import bounded_dijkstra
 from repro.road.gtree import GTree
 from repro.road.network import RoadNetwork, SpatialPoint
@@ -45,40 +45,6 @@ class KTCore:
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
-
-
-def kt_core_from_coreness(
-    filtered: AdjacencyGraph,
-    coreness: dict[int, int],
-    query_distance: dict[int, float],
-    query: Iterable[int],
-    k: int,
-) -> KTCore | None:
-    """Extract H^t_k from a t-filtered subgraph and its coreness array.
-
-    The single Lemma-2/3 implementation shared by the legacy
-    :meth:`RoadSocialNetwork.maximal_kt_core` path and the
-    :class:`~repro.engine.MACEngine` (which caches ``filtered`` and
-    ``coreness`` per (Q, t) and calls this once per k).  The k-core is
-    exactly the subgraph on vertices with coreness >= k; H^t_k is its
-    connected component containing all of Q, or None when Q is filtered
-    out or split across components.
-    """
-    q_list = list(query)
-    if any(q not in query_distance for q in q_list):
-        return None
-    keep = [v for v, c in coreness.items() if c >= k]
-    sub = filtered.subgraph(keep)
-    if any(q not in sub for q in q_list):
-        return None
-    component = sub.component_of(q_list[0])
-    if not all(q in component for q in q_list):
-        return None
-    graph = sub.subgraph(component)
-    return KTCore(
-        graph=graph,
-        query_distance={v: query_distance[v] for v in graph.vertices()},
-    )
 
 
 def _point_distance(
@@ -216,8 +182,13 @@ class RoadSocialNetwork:
         )
         if k > bound:
             return None
-        coreness = core_decomposition(filtered)
-        return kt_core_from_coreness(filtered, coreness, dq, q_list, k)
+        graph = k_core_containing(filtered, q_list, k)
+        if graph is None:
+            return None
+        return KTCore(
+            graph=graph,
+            query_distance={v: dq[v] for v in graph.vertices()},
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RoadSocialNetwork({self.road!r}, {self.social!r})"

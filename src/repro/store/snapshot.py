@@ -63,7 +63,8 @@ from repro.store.fingerprint import (
 #: Bump on any incompatible change to the manifest or array layout.
 #: v2: stage-cache keys and the manifest carry no compute backend.
 #: v3: the manifest fingerprint is the ``mset256:`` multiset digest.
-FORMAT_VERSION = 3
+#: v4: every filter entry stores its CSR view and per-row coreness.
+FORMAT_VERSION = 4
 
 FORMAT_NAME = "repro-index-snapshot"
 
@@ -73,6 +74,9 @@ DELTAS_FILE = "deltas.jsonl"
 
 #: Bump on any incompatible change to the delta-log record layout.
 DELTA_VERSION = 1
+
+#: The arrays of filter entry ``i``, stored as ``filter.<i>.<name>``.
+_FILTER_ARRAYS = ("ids", "dist", "coreness", "edges", "flat_indptr", "flat_indices")
 
 _CORRUPTION_ERRORS = (
     zipfile.BadZipFile,
@@ -215,23 +219,18 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
 
     filter_entries = []
     for i, (key, prep) in enumerate(engine._filter_cache.items()):
-        ids = sorted(prep.query_distance)
+        ids = prep.flat.ids
         arrays[f"filter.{i}.ids"] = np.asarray(ids, np.int64)
         arrays[f"filter.{i}.dist"] = np.asarray(
             [prep.query_distance[v] for v in ids], np.float64
         )
-        arrays[f"filter.{i}.coreness"] = np.asarray(
-            [prep.coreness[v] for v in ids], np.int64
-        )
+        arrays[f"filter.{i}.coreness"] = np.asarray(prep.core_rows, np.int64)
         _verts, edges = _graph_arrays(prep.filtered)
         arrays[f"filter.{i}.edges"] = edges
+        arrays[f"filter.{i}.flat_indptr"] = prep.flat.indptr
+        arrays[f"filter.{i}.flat_indices"] = prep.flat.indices
         entry = _filter_key_json(key)
         entry["vertices"] = len(ids)
-        entry["has_flat"] = prep.flat is not None
-        if prep.flat is not None:
-            flat = prep.flat.to_arrays()
-            arrays[f"filter.{i}.flat_indptr"] = flat["indptr"]
-            arrays[f"filter.{i}.flat_indices"] = flat["indices"]
         filter_entries.append(entry)
     components["filter"] = filter_entries
 
@@ -577,13 +576,8 @@ def _expected_keys(manifest: dict) -> list[str]:
                 "mat_dst", "mat_w",
             )
         ]
-    for i, entry in enumerate(comp.get("filter", [])):
-        keys += [
-            f"filter.{i}.ids", f"filter.{i}.dist",
-            f"filter.{i}.coreness", f"filter.{i}.edges",
-        ]
-        if entry.get("has_flat"):
-            keys += [f"filter.{i}.flat_indptr", f"filter.{i}.flat_indices"]
+    for i in range(len(comp.get("filter", []))):
+        keys += [f"filter.{i}.{name}" for name in _FILTER_ARRAYS]
     for i, entry in enumerate(comp.get("core", [])):
         if entry.get("feasible"):
             keys += [
@@ -625,11 +619,11 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
     With ``mmap=True``, arrays stored uncompressed (``save_snapshot``
     with ``compress=False``) are opened as read-only ``np.memmap``
     views instead of copies, so the CSR payloads (road/filter flat
-    graphs) stay file-backed and page-shared across processes.  State
-    rebuilt into Python objects (G-tree node maps, coreness dicts,
-    dominance DAGs) is materialized either way — the worker tier shares
-    those via fork copy-on-write.  Compressed members silently fall
-    back to a normal read.
+    graphs and their coreness rows) stay file-backed and page-shared
+    across processes.  State rebuilt into Python objects (G-tree node
+    maps, adjacency sets, dominance DAGs) is materialized either way —
+    the worker tier shares those via fork copy-on-write.  Compressed
+    members silently fall back to a normal read.
     """
     from repro.engine.engine import (
         MACEngine,
@@ -699,25 +693,19 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
             key = _filter_key_from_json(entry)
             ids = _get(npz, f"filter.{i}.ids")
             dist = _get(npz, f"filter.{i}.dist")
-            core_arr = _get(npz, f"filter.{i}.coreness")
             filtered = _graph_from_arrays(ids, _get(npz, f"filter.{i}.edges"))
-            query_distance = dict(zip(ids.tolist(), dist.tolist()))
-            coreness = dict(zip(ids.tolist(), core_arr.tolist()))
-            flat = core_rows = None
-            if entry.get("has_flat"):
-                flat = FlatGraph.from_arrays(
-                    _get(npz, f"filter.{i}.flat_indptr"),
-                    _get(npz, f"filter.{i}.flat_indices"),
-                    ids,
-                )
-                core_rows = core_arr.astype(np.int64, copy=False)
+            flat = FlatGraph.from_arrays(
+                _get(npz, f"filter.{i}.flat_indptr"),
+                _get(npz, f"filter.{i}.flat_indices"),
+                ids,
+            )
             engine._filter_cache.put(key, _PreparedFilter(
-                query_distance=query_distance,
+                query_distance=dict(zip(ids.tolist(), dist.tolist())),
                 filtered=filtered,
-                coreness=coreness,
-                max_coreness=max(coreness.values(), default=0),
                 flat=flat,
-                core_rows=core_rows,
+                core_rows=_get(npz, f"filter.{i}.coreness").astype(
+                    np.int64, copy=False
+                ),
             ))
 
         for i, entry in enumerate(comp.get("core", [])):

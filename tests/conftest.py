@@ -127,21 +127,21 @@ def force_path(monkeypatch):
     """Force the size rules of :mod:`repro.kernels.backend` to one side.
 
     ``force_path("flat")`` puts every input on the flat side of each rule
-    (stage kernels, G-tree, global-search loop); ``force_path("python")``
-    on the python side; ``force_path(None)`` restores the size rules.
-    Call it again to switch sides within a test: the rules read their
-    constants when called, so an engine follows the side forced when it
-    builds each stage.
+    (G-tree, global-search loop); ``force_path("python")`` on the python
+    side; ``force_path(None)`` restores the size rules.  Call it again to
+    switch sides within a test: the rules read their constants when
+    called, so an engine follows the side forced when it builds each
+    stage.
     """
-    sized = (paths.FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE)
+    sized = (paths.GTREE_FLAT_MIN_VERTICES, paths.GS_FLAT_MIN_CORE)
 
     def force(side: str | None) -> None:
-        flat_min, gs_min = {
+        gtree_min, gs_min = {
             "flat": (0, 0),
             "python": (sys.maxsize, sys.maxsize),
             None: sized,
         }[side]
-        monkeypatch.setattr(paths, "FLAT_MIN_VERTICES", flat_min)
+        monkeypatch.setattr(paths, "GTREE_FLAT_MIN_VERTICES", gtree_min)
         monkeypatch.setattr(paths, "GS_FLAT_MIN_CORE", gs_min)
 
     return force

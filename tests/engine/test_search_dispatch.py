@@ -3,6 +3,7 @@
 A request runs the global search on the set-based loop below
 ``GS_FLAT_MIN_CORE`` vertices of H^t_k and on the flat CSR loop at or
 above it; a side forced through the ``force_path`` seam is obeyed.  The
+local search always runs the flat loop.  The
 answers never depend on the loop: partitions are bit-identical across
 the size rules and both forced sides on the served request shapes.
 """
@@ -18,7 +19,7 @@ from tests.core.test_search_backends import signature
 
 @pytest.fixture(scope="module")
 def yelp():
-    """fl+yelp 0.5 (4000 users: the stage backend resolves to flat)."""
+    """fl+yelp 0.5 (4000 users), the served benchmark dataset."""
     ds = load_dataset("fl+yelp", scale=0.5, seed=7)
     t = ds.default_t * 0.5 ** 0.5
     d = ds.network.social.dimensionality
@@ -51,7 +52,6 @@ class TestDispatch:
         result, state = run(engine, small_request(yelp))
         size = state.core.num_vertices
         assert size < backend_module.GS_FLAT_MIN_CORE
-        assert engine._stage_path() == "flat"
         assert state.search_flat is None
         assert result.extra["engine"]["search_backend"] == "python"
 
@@ -82,7 +82,7 @@ class TestDispatch:
         assert result.extra["engine"]["search_backend"] == "flat"
         assert state.search_flat is not None
 
-    def test_local_search_keeps_the_stage_rule(self, yelp):
+    def test_local_search_runs_the_flat_loop(self, yelp):
         engine = MACEngine(yelp[0].network)
         result, _state = run(engine, small_request(yelp, algorithm="local"))
         assert result.extra["engine"]["search_backend"] == "flat"

@@ -1,9 +1,10 @@
-"""Path equivalence: core decomposition, peeling, components.
+"""Kernel equivalence: core decomposition, peeling, components.
 
-The flat (batch-peeled, array-BFS) and python (position-swap bucket,
-cascade) paths must return identical coreness maps, k-cores, and
-query-anchored k-ĉores on random graphs and the bundled datasets.  Each
-check forces both sides with the ``force_path`` seam.
+The CSR kernels behind :mod:`repro.graph.core` (batch peeling, array
+BFS) must return the coreness maps, k-cores, and query-anchored k-ĉores
+of the per-vertex references (``tests/oracles/kcore.py``: position-swap
+Batagelj–Zaversnik; :func:`~repro.graph.core.peel_cascade`) on random
+graphs and the bundled datasets.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import on_both_sides, random_graph
+from tests.conftest import random_graph
+from tests.oracles import kcore as oracle
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.core import (
     core_decomposition,
     k_core_containing,
-    k_cores_containing,
+    peel_cascade,
     peel_to_k_core,
 )
 from repro.kernels import FlatGraph, component_labels, component_mask
@@ -32,43 +34,48 @@ def graphs_equal(a: AdjacencyGraph | None, b: AdjacencyGraph | None) -> bool:
     )
 
 
+def coreness_both(graph) -> tuple[dict, dict]:
+    """The kernel's and the reference BZ's coreness of ``graph``."""
+    return core_decomposition(graph), oracle.core_decomposition(graph)
+
+
 class TestCoreDecomposition:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_graphs(self, seed, force_path):
+    def test_random_graphs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 160))
         g = random_graph(n, float(rng.uniform(0.01, 0.2)), seed)
-        flat, python = on_both_sides(force_path, core_decomposition, g)
-        assert flat == python
+        flat, reference = coreness_both(g)
+        assert flat == reference
 
-    def test_path_graph_long_cascade(self, force_path):
+    def test_path_graph_long_cascade(self):
         # Worst case for batch peeling (one cascade round per vertex)
         # and for the old bucket layout (every edge appended an entry).
         g = AdjacencyGraph([(i, i + 1) for i in range(500)])
-        flat, python = on_both_sides(force_path, core_decomposition, g)
-        assert flat == python
+        flat, reference = coreness_both(g)
+        assert flat == reference
         assert set(flat.values()) == {1}
 
-    def test_complete_graph(self, force_path):
+    def test_complete_graph(self):
         n = 12
         g = AdjacencyGraph(
             [(i, j) for i in range(n) for j in range(i + 1, n)]
         )
-        for core in on_both_sides(force_path, core_decomposition, g):
+        for core in coreness_both(g):
             assert set(core.values()) == {n - 1}
 
-    def test_isolated_vertices(self, force_path):
+    def test_isolated_vertices(self):
         g = AdjacencyGraph([(0, 1)])
         g.add_vertex(99)
-        for core in on_both_sides(force_path, core_decomposition, g):
+        for core in coreness_both(g):
             assert core == {
                 0: 1, 1: 1, 99: 0,
             }
 
-    def test_bundled_dataset(self, small_dataset, force_path):
+    def test_bundled_dataset(self, small_dataset):
         g = small_dataset.network.social.graph
-        flat, python = on_both_sides(force_path, core_decomposition, g)
-        assert flat == python
+        flat, reference = coreness_both(g)
+        assert flat == reference
 
     def test_unknown_backend_rejected(self):
         # The input picks the path: there is no backend option to pass.
@@ -79,46 +86,32 @@ class TestCoreDecomposition:
 class TestPeeling:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
-    def test_peel_matches(self, seed, k, force_path):
+    def test_peel_matches(self, seed, k):
         g = random_graph(80, 0.08, seed)
-        assert graphs_equal(*on_both_sides(force_path, peel_to_k_core, g, k))
+        assert graphs_equal(peel_to_k_core(g, k), peel_cascade(g, k))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_k_core_containing_matches(self, seed, force_path):
+    def test_k_core_containing_matches(self, seed):
         rng = np.random.default_rng(100 + seed)
         g = random_graph(80, 0.08, seed)
         verts = sorted(g.vertices())
         query = [int(v) for v in rng.choice(verts, size=2, replace=False)]
         for k in (1, 2, 3, 4):
             assert graphs_equal(
-                *on_both_sides(force_path, k_core_containing, g, query, k)
+                k_core_containing(g, query, k),
+                oracle.k_core_containing(g, query, k),
             )
 
-    def test_negative_k_rejected_on_both_backends(self, force_path):
+    def test_negative_k_rejected_on_both_backends(self):
         from repro.errors import GraphError
 
         g = random_graph(20, 0.2, 0)
-        for side in ("flat", "python"):
-            force_path(side)
-            with pytest.raises(GraphError):
-                peel_to_k_core(g, -1)
-            with pytest.raises(GraphError):
-                k_core_containing(g, [0], -1)
-            with pytest.raises(GraphError):
-                k_cores_containing(g, [0], [2, -1])
-
-    def test_batched_matches_single(self, small_dataset, force_path):
-        g = small_dataset.network.social.graph
-        query = sorted(g.vertices())[:2]
-        ks = (1, 2, 4, 6, 50)
-        for side in ("flat", "python"):
-            force_path(side)
-            batched = k_cores_containing(g, query, ks)
-            assert set(batched) == set(ks)
-            for k in ks:
-                assert graphs_equal(
-                    batched[k], k_core_containing(g, query, k)
-                )
+        with pytest.raises(GraphError):
+            peel_to_k_core(g, -1)
+        with pytest.raises(GraphError):
+            peel_cascade(g, -1)
+        with pytest.raises(GraphError):
+            k_core_containing(g, [0], -1)
 
 
 class TestComponents:

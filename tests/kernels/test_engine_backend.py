@@ -1,7 +1,8 @@
 """Engine-level path equivalence and stage telemetry.
 
 Each equivalence check runs one engine per side of the ``force_path``
-seam and compares their answers.
+seam (the G-tree and global-search size rules) and compares their
+answers.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ def result_signature(result):
 
 def search_both(force_path, network, request):
     """``request`` answered forced flat, then forced python."""
-    results = on_both_sides(
+    return on_both_sides(
         force_path, lambda: MACEngine(network).search(request)
     )
-    assert [r.extra["engine"]["backend"] for r in results] == [
-        "flat", "python",
-    ]
-    return results
 
 
 class TestBackendEquivalence:
@@ -119,7 +116,5 @@ class TestStageTelemetry:
         request = MACRequest.make([2, 3, 6], 3, 9.0, paper_region)
         engine.search(request)
         plan = engine.explain(request)
-        assert plan.backend in ("flat", "python")
         assert plan.stage_seconds["filter"] > 0.0
         assert "stage seconds" in plan.summary()
-        assert "backend" in plan.summary()

@@ -1,11 +1,15 @@
-"""Every ``MACEngine.apply`` in this suite checks its maintained digest.
+"""Every ``MACEngine.apply`` in this suite checks what it maintains.
 
 The engine advances its content digest per batch from the records the
-batch touched; the autouse fixture below starts each engine's digest
-before its first apply and, after every apply, compares the maintained
-value with a full recomputation of the live network.  Only the test
-process checks: forked pool workers inherit the patched method but
-skip the comparison, so they keep the production apply path.
+batch touched, and repairs the coreness rows of every warm filter entry
+in place of a re-peel.  The autouse fixture below starts each engine's
+digest before its first apply and, after every apply, compares the
+maintained digest with a full recomputation of the live network and
+each warm filter entry's ``core_rows`` with the reference
+Batagelj–Zaversnik decomposition (``tests/oracles/kcore.py``) of that
+entry's ``filtered`` graph.  Only the test process checks: forked pool
+workers inherit the patched method but skip the comparison, so they
+keep the production apply path.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ import pytest
 from repro.engine.engine import MACEngine
 from repro.store import fingerprint
 
+from tests.oracles.kcore import core_decomposition
+
 
 @pytest.fixture(autouse=True)
-def checked_digest(monkeypatch):
+def checked_apply_state(monkeypatch):
     # Captured now: a test may swap the module attributes (to count
     # full recomputations) without the check counting as one.
     full = fingerprint.network_digest
@@ -32,6 +38,10 @@ def checked_digest(monkeypatch):
         summary = apply(engine, mutations)
         with engine._mutate_lock:
             assert engine._digest == full(engine.network), "digest drifted"
+            for key, prep in engine._filter_cache.items():
+                rows = prep.flat.relabel(prep.core_rows)
+                expected = core_decomposition(prep.filtered)
+                assert rows == expected, f"coreness rows drifted in {key}"
         return summary
 
     monkeypatch.setattr(MACEngine, "apply", checked_apply)

@@ -5,20 +5,20 @@ endpoints' with the entry it replaces.  After long runs of add/remove
 toggles of the same edge and of edges sharing an endpoint, every entry
 a query could still hold must read exactly as it did when it was
 cached, and every repaired entry must equal the deep-copy-then-toggle
-reference with a from-scratch coreness.
+reference with a from-scratch coreness (the reference BZ of
+``tests/oracles/kcore.py``).
 """
 
 import numpy as np
-import pytest
 
 from repro import MACEngine, MACRequest, PreferenceRegion
-from repro.graph.core import core_decomposition
 from repro.live import add_social_edge, remove_social_edge
 from repro.road.network import SpatialPoint
 from repro.social.network import SocialNetwork
 from repro.social.roadsocial import RoadSocialNetwork
 
 from tests.conftest import paper_attributes, paper_road, paper_social_graph
+from tests.oracles.kcore import core_decomposition
 
 REGION = PreferenceRegion([0.1, 0.2], [0.5, 0.4])
 
@@ -49,37 +49,26 @@ def flat_adjacency(flat) -> dict:
 
 def frozen(prep) -> tuple:
     """Everything a held entry exposes, copied out."""
-    flat = None
-    if prep.flat is not None:
-        flat = (
-            prep.flat.indptr.copy(),
-            prep.flat.indices.copy(),
-            list(prep.flat.ids),
-            prep.core_rows.copy(),
-        )
     return (
         adjacency(prep.filtered),
         prep.filtered.num_edges,
-        dict(prep.coreness),
         prep.max_coreness,
-        flat,
+        prep.flat.indptr.copy(),
+        prep.flat.indices.copy(),
+        list(prep.flat.ids),
+        prep.core_rows.copy(),
     )
 
 
 def assert_unchanged(prep, snapshot) -> None:
-    adj, num_edges, coreness, max_coreness, flat = snapshot
+    adj, num_edges, max_coreness, indptr, indices, ids, core_rows = snapshot
     assert adjacency(prep.filtered) == adj
     assert prep.filtered.num_edges == num_edges
-    assert prep.coreness == coreness
     assert prep.max_coreness == max_coreness
-    if flat is None:
-        assert prep.flat is None
-    else:
-        indptr, indices, ids, core_rows = flat
-        assert np.array_equal(prep.flat.indptr, indptr)
-        assert np.array_equal(prep.flat.indices, indices)
-        assert list(prep.flat.ids) == ids
-        assert np.array_equal(prep.core_rows, core_rows)
+    assert np.array_equal(prep.flat.indptr, indptr)
+    assert np.array_equal(prep.flat.indices, indices)
+    assert list(prep.flat.ids) == ids
+    assert np.array_equal(prep.core_rows, core_rows)
 
 
 def assert_repaired(new, old, u, v) -> None:
@@ -93,16 +82,12 @@ def assert_repaired(new, old, u, v) -> None:
     assert adjacency(new.filtered) == adjacency(reference)
     assert new.filtered.num_edges == reference.num_edges
     expected = core_decomposition(reference)
-    assert new.coreness == expected
     assert new.max_coreness == max(expected.values(), default=0)
-    if new.flat is not None:
-        assert flat_adjacency(new.flat) == adjacency(reference)
-        assert new.flat.relabel(new.core_rows) == expected
+    assert flat_adjacency(new.flat) == adjacency(reference)
+    assert new.flat.relabel(new.core_rows) == expected
 
 
-@pytest.mark.parametrize("backend", ["python", "flat"])
-def test_held_entries_survive_toggle_storms(force_path, backend):
-    force_path(backend)
+def test_held_entries_survive_toggle_storms():
     engine = MACEngine(make_network())
     for query, t in [((2, 3, 6), 9.0), ((2, 3, 6), 30.0), ((1, 4), 12.0), ((7,), 60.0)]:
         engine.search(MACRequest.make(query, 2, t, REGION, algorithm="global"))

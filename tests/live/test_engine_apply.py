@@ -19,6 +19,9 @@ from tests.conftest import paper_attributes, paper_road, paper_social_graph
 
 REGION = PreferenceRegion([0.1, 0.2], [0.5, 0.4])
 
+#: Sides of the global-search size rule (``force_path``); filter entries
+#: are CSR on both, and ``tests/live/conftest.py`` checks their coreness
+#: rows against the reference decomposition after every apply.
 SIDES = ("python", "flat")
 
 

@@ -1,17 +1,17 @@
 """Randomized equivalence: incremental k-core repair vs full re-peel.
 
-Both the python reference (:mod:`repro.live.kcore`) and the CSR row
+Both the dict reference (``tests/oracles/kcore.py``) and the CSR row
 kernels (:mod:`repro.kernels.livecore`) are driven through random
 insert/delete walks over Erdős–Rényi graphs; after every step the
 repaired coreness must equal a from-scratch Batagelj–Zaversnik
-decomposition of the mutated graph, and each repair's reported delta
-must be exactly the set of vertices whose coreness moved (by ±1).
+decomposition of the mutated graph (the reference BZ and the CSR
+kernel respectively), and each repair's reported delta must be exactly
+the set of vertices whose coreness moved (by ±1).
 """
 
 import numpy as np
 import pytest
 
-from repro.graph.core import core_decomposition
 from repro.kernels import FlatGraph
 from repro.kernels.core import core_numbers
 from repro.kernels.livecore import (
@@ -20,9 +20,8 @@ from repro.kernels.livecore import (
     repair_delete_rows,
     repair_insert_rows,
 )
-from repro.live import repair_delete, repair_insert
-
 from tests.conftest import random_graph
+from tests.oracles.kcore import core_decomposition, repair_delete, repair_insert
 
 
 def random_walk_steps(graph, rng, steps):
@@ -40,8 +39,7 @@ def random_walk_steps(graph, rng, steps):
 
 class TestPythonRepair:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_walk_matches_full_repeel(self, seed, force_path):
-        force_path("python")
+    def test_random_walk_matches_full_repeel(self, seed):
         rng = np.random.default_rng(seed)
         graph = random_graph(30, 0.12, seed=seed + 100)
         coreness = core_decomposition(graph)
@@ -58,8 +56,7 @@ class TestPythonRepair:
             assert changed == moved
             assert all(abs(c - before[w]) == 1 for w, c in changed.items())
 
-    def test_insert_into_triangle_promotes_it(self, force_path):
-        force_path("python")
+    def test_insert_into_triangle_promotes_it(self):
         # 4-cycle + chord: adding the second chord lifts all four to core 3
         graph = random_graph(4, 0.0, seed=0)
         for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]:
@@ -124,8 +121,7 @@ class TestFlatRepair:
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_python_and_flat_walks_agree(self, seed, force_path):
-        force_path("python")
+    def test_python_and_flat_walks_agree(self, seed):
         rng = np.random.default_rng(seed)
         graph = random_graph(25, 0.15, seed=seed)
         coreness = core_decomposition(graph)

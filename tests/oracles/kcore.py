@@ -1,14 +1,22 @@
-"""Bounded incremental k-core maintenance (python reference).
+"""Reference k-core routines on adjacency sets (dicts and per-vertex loops).
+
+The former python paths of :mod:`repro.graph.core` and
+:mod:`repro.live`, kept as the oracles of the CSR kernels that replaced
+them (:mod:`repro.kernels.core`, :mod:`repro.kernels.livecore`):
+
+* :func:`core_decomposition` — sequential Batagelj–Zaversnik (the O(m)
+  routine cited as [14] in the paper);
+* :func:`k_core_containing` — the k-ĉore of Lemma 2/3 by the per-vertex
+  removal cascade and a component walk;
+* :func:`repair_insert` / :func:`repair_delete` — bounded incremental
+  k-core maintenance after one edge insert/delete.
 
 When an edge ``(u, v)`` is inserted into or deleted from a graph, the
 classic traversal-based maintenance results (Li, Yu & Mao, TKDE'14;
 Sariyüce et al., PVLDB'13) localize the damage: only vertices of
 coreness exactly ``r = min(core(u), core(v))`` can change, and any
-change is exactly ±1.  Repairing after a mutation therefore costs a
-traversal of the (usually tiny) affected region instead of an O(m)
-Batagelj–Zaversnik re-peel, the asymmetry ``benchmarks/bench_live.py``
-measures.  Two prunings keep the region small even when the level-``r``
-subcore is most of the graph (low modal coreness):
+change is exactly ±1.  Two prunings keep the repaired region small even
+when the level-``r`` subcore is most of the graph (low modal coreness):
 
 * **insert** explores the *purecore*: a vertex can rise only if it has
   more than ``r`` neighbors of coreness ``>= r``, and risers form a
@@ -19,13 +27,76 @@ subcore is most of the graph (low modal coreness):
   starts at the endpoints and touches only vertices that actually fall
   plus their immediate frontier.
 
-Both functions mutate the ``coreness`` dict in place and return the
-``{vertex: new_coreness}`` delta.  The CSR-row twins with identical
-semantics live in :mod:`repro.kernels.livecore`; the randomized suite in
-``tests/live`` pits both against full re-decompositions.
+Both repair functions mutate the ``coreness`` dict in place and return
+the ``{vertex: new_coreness}`` delta.
 """
 
 from __future__ import annotations
+
+from repro.graph.core import peel_cascade
+
+
+def core_decomposition(graph) -> dict:
+    """Sequential Batagelj–Zaversnik with the position-swap bucket layout.
+
+    ``vert`` holds the vertices sorted by current degree, ``pos`` each
+    vertex's slot, and ``bin_start[d]`` the first slot of degree-d
+    vertices.  A degree decrement swaps the vertex with the first member
+    of its bucket and advances the boundary — O(1) per decrement and
+    O(n) total memory.
+    """
+    degree = {v: graph.degree(v) for v in graph.vertices()}
+    n = len(degree)
+    if n == 0:
+        return {}
+    max_deg = max(degree.values())
+    bin_count = [0] * (max_deg + 1)
+    for d in degree.values():
+        bin_count[d] += 1
+    bin_start = [0] * (max_deg + 1)
+    start = 0
+    for d in range(max_deg + 1):
+        bin_start[d] = start
+        start += bin_count[d]
+    vert = [None] * n
+    pos = {}
+    fill = list(bin_start)
+    for v, d in degree.items():
+        p = fill[d]
+        vert[p] = v
+        pos[v] = p
+        fill[d] += 1
+    core = {}
+    for i in range(n):
+        v = vert[i]
+        dv = degree[v]
+        core[v] = dv
+        for u in graph.neighbors(v):
+            du = degree[u]
+            if du > dv:
+                pu = pos[u]
+                pw = bin_start[du]
+                w = vert[pw]
+                if u is not w:
+                    vert[pu], vert[pw] = w, u
+                    pos[u], pos[w] = pw, pu
+                bin_start[du] += 1
+                degree[u] = du - 1
+    return core
+
+
+def k_core_containing(graph, query, k: int):
+    """The maximal connected k-core holding every query vertex, or None."""
+    q = list(query)
+    if any(v not in graph for v in q):
+        return None
+    core = peel_cascade(graph, k)
+    if any(v not in core for v in q):
+        return None
+    component = core.component_of(q[0])
+    if not all(v in component for v in q):
+        return None
+    return core.subgraph(component)
 
 
 def _insert_candidates(graph, coreness: dict, roots: list, r: int) -> set:

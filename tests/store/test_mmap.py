@@ -22,7 +22,8 @@ def make_network() -> RoadSocialNetwork:
 
 @pytest.fixture(autouse=True)
 def flat_side(force_path):
-    """Build every snapshot here on the flat side: CSR payloads to map."""
+    """Build every G-tree here on the flat side (the CSR payloads of the
+    road and the filter entries are there either way)."""
     force_path("flat")
 
 

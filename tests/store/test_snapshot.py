@@ -54,7 +54,8 @@ def request_(region) -> MACRequest:
 
 @pytest.fixture(autouse=True)
 def flat_side(force_path):
-    """Snapshot the flat side unless a test forces another."""
+    """Build the G-tree and run the global search on the flat side
+    unless a test forces another."""
     force_path("flat")
 
 
@@ -223,6 +224,21 @@ class TestFailureModes:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="rebuild"):
             MACEngine.load(path, make_network())
+
+    def test_format_3_snapshot_asks_for_a_rebuild(self, tmp_path, request_):
+        # Format 3 stored a CSR view only for entries of large networks
+        # (``has_flat``); entries without one cannot be served any more,
+        # so it is refused, never misread.
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 3
+        for entry in manifest["components"]["filter"]:
+            entry["has_flat"] = False
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="rebuild"):
+            MACEngine.load(path, make_network())
+        with pytest.raises(SnapshotError, match="rebuild"):
+            verify_snapshot(path)
 
     def test_wrong_format_name(self, tmp_path, request_):
         _engine, _result, path = warmed_snapshot(tmp_path, request_)
