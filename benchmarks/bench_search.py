@@ -7,11 +7,12 @@ is exactly the flat-kernel rewrite of the hot loops: CSR cascade
 peeling + batch degree updates in the global search's deletion chains,
 and the array-backed push frontier in the local search's Expand.  The
 global search runs through the engine with its size rule forced to each
-side (``_harness.forced_path``).  The engine runs the local search on
-the flat loop only, so both local loops are timed by building
-``LocalSearch`` over the engine's prepared core and dominance graph,
-once with the engine's CSR view of H^t_k (``flat``) and once without
-(``python``, the dict reference loop).
+side (``_harness.forced_path``).  The local search has one loop, so it
+is timed over the engine's prepared core and dominance graph against
+its reference: ``LocalSearch`` on the engine's CSR view of H^t_k
+(``flat``) and ``ReferenceLocalSearch`` from
+``tests/oracles/local_search.py`` (``python``: the dict expand and the
+probe-based Verify).
 
 Every measured pair is checked for result equivalence (same communities
 from both loops).  Emits ``BENCH_search.json`` with per-algorithm
@@ -35,7 +36,11 @@ from repro.core.local_search import LocalSearch
 
 import _harness as harness
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_search.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from tests.oracles.local_search import ReferenceLocalSearch  # noqa: E402
+
+OUTPUT = ROOT / "BENCH_search.json"
 
 #: fl+yelp is the largest bundled pairing (Table II's biggest shapes).
 DATASET = "fl+yelp"
@@ -51,7 +56,7 @@ T = 1e9
 
 #: Default-run assertion floors, flat vs python.  LS threshold probing
 #: runs one shared entry-size sweep on both loops, so what is left
-#: to LS's ratio is Expand and the Verify peels.
+#: to LS's ratio is Expand and Verify.
 MIN_SPEEDUP = {"search_global": 3.0, "search_local": 1.5}
 
 #: (name, algorithm, problem, j) — the warm search loops under test.
@@ -81,17 +86,18 @@ def global_run(engine, request, side: str):
 
 
 def local_run(engine, request, side: str):
-    """LS over the engine's prepared state on the ``side`` loop."""
+    """LS (``flat``) or its reference (``python``) over the engine's
+    prepared state."""
     state, _hit = engine._core_cache.peek(request.core_key)
     if state.core is None:
         return set()
     gd, _hit = engine._gd_cache.peek(request.dominance_key)
-    searcher = LocalSearch(
+    searcher = (LocalSearch if side == "flat" else ReferenceLocalSearch)(
         state.core.graph, gd, request.query, request.k, request.region,
         strategy=request.strategy,
         max_candidates=request.max_candidates,
         certification=request.certification,
-        flat=engine._search_flat(state) if side == "flat" else None,
+        flat=engine._search_flat(state),
     )
     if request.problem == "nc":
         return communities(searcher.search_nc())

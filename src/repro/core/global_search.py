@@ -127,76 +127,6 @@ class GlobalSearch:
     # ------------------------------------------------------------------
     # leaf maintenance on the alive-restricted dominance graph
     # ------------------------------------------------------------------
-    #: Packed-closure size cap for the flat leaf test: the bitset
-    #: closures cost 2 * n * ceil(n / 8) bytes (64 MiB at the cap);
-    #: beyond it the reachability walk wins on memory.
-    _CLOSURE_MAX = 16384
-
-    def _desc_closure(self) -> np.ndarray:
-        """Packed transitive-descendant bitsets over flat rows.
-
-        One row per flat row, one bit per *strict* descendant.  Built
-        along ``gd.order`` (a topological order, so a single OR-sweep
-        suffices) and cached on the dominance graph — ``gd`` outlives
-        this searcher, and the closure is a pure function of
-        (gd, flat).
-        """
-        fg = self.flat
-        cached = getattr(self.gd, "_flat_desc_closure", None)
-        if cached is not None and cached[0] is fg:
-            return cached[1]
-        n = fg.n
-        bit = np.left_shift(np.uint8(1), 7 - (np.arange(n) & 7))
-        desc = np.zeros((n, (n + 7) // 8), np.uint8)
-        order_rows = fg.rows_of(self.gd.order)
-        for v, r in zip(reversed(self.gd.order), reversed(order_rows)):
-            kids = self.gd.children[v]
-            if kids:
-                row = desc[r]
-                for c in fg.rows_of(kids):
-                    row |= desc[c]
-                    row[c >> 3] |= bit[c]
-        self.gd._flat_desc_closure = (fg, desc)
-        return desc
-
-    def _updated_leaves_flat(
-        self,
-        leaves: frozenset[int],
-        batch: frozenset[int],
-        mask: np.ndarray,
-    ) -> frozenset[int]:
-        """Flat-backend leaf update: the reference candidate walk with
-        the per-candidate ``_is_leaf`` reachability replaced by one
-        packed AND row against the alive mask (``desc ∩ alive = ∅``) —
-        the leaf test dominates the walk, and the closure turns it
-        from a DAG traversal into a 1-row vector op."""
-        fg = self.flat
-        desc = self._desc_closure()
-        alive_packed = np.packbits(mask)
-        out = set(leaves) - batch
-        candidates: list[int] = []
-        stack = [p for b in batch for p in self.gd.parents[b]]
-        seen: set[int] = set()
-        rows_alive = mask  # row-indexed aliveness, in sync with alive
-        row_of = fg.row_of
-        while stack:
-            p = stack.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            if rows_alive[row_of(p)]:
-                if p not in out:
-                    candidates.append(p)
-            else:
-                stack.extend(self.gd.parents[p])
-        if candidates:
-            cand_rows = np.asarray(fg.rows_of(candidates), np.int64)
-            is_leaf = ~(desc[cand_rows] & alive_packed).any(axis=1)
-            out.update(
-                p for p, ok in zip(candidates, is_leaf.tolist()) if ok
-            )
-        return frozenset(out)
-
     def _is_leaf(self, v: int, alive: frozenset[int]) -> bool:
         """No alive strict descendant (walking through dead vertices)."""
         stack = list(self.gd.children[v])
@@ -216,8 +146,16 @@ class GlobalSearch:
         leaves: frozenset[int],
         batch: frozenset[int],
         alive: frozenset[int],
+        mask: np.ndarray | None = None,
     ) -> frozenset[int]:
-        """Leaves after removing ``batch``; new leaves are alive ancestors."""
+        """Leaves after removing ``batch``; new leaves are alive ancestors.
+
+        Given the flat loop's alive row ``mask``, each candidate's leaf
+        test is one AND of its Gd descendant closure against the alive
+        bits (``desc ∩ alive = ∅``) instead of a reachability walk.  The
+        flat rows are Gd's rows: both number H^t_k's vertices in
+        ascending id order.
+        """
         out = set(leaves) - batch
         candidates: set[int] = set()
         stack = [p for b in batch for p in self.gd.parents[b]]
@@ -231,9 +169,18 @@ class GlobalSearch:
                 candidates.add(p)
             else:
                 stack.extend(self.gd.parents[p])
-        for p in candidates:
-            if p not in out and self._is_leaf(p, alive):
-                out.add(p)
+        candidates -= out
+        desc = None
+        if mask is not None and mask.shape[0] == self.gd.num_vertices:
+            desc = self.gd.closure()
+        if desc is None:
+            out.update(p for p in candidates if self._is_leaf(p, alive))
+        else:
+            bits = int.from_bytes(
+                np.packbits(mask, bitorder="little").tobytes(), "little"
+            )
+            row = self.gd.row_of
+            out.update(p for p in candidates if not desc[row(p)] & bits)
         return frozenset(out)
 
     # ------------------------------------------------------------------
@@ -443,10 +390,7 @@ class GlobalSearch:
                     batch = frozenset(deleted | dropped)
                 alive = alive - batch
                 batches = batches + (batch,)
-                if self.flat is not None and self.flat.n <= self._CLOSURE_MAX:
-                    leaves = self._updated_leaves_flat(leaves, batch, mask)
-                else:
-                    leaves = self._updated_leaves(leaves, batch, alive)
+                leaves = self._updated_leaves(leaves, batch, alive, mask)
         self.stats.partitions = len(results)
         return results
 

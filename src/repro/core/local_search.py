@@ -12,15 +12,24 @@ leaf of Gd must exist; an outside r-dominator of a member must be
 recursively deletable), computes *bound* outside vertices and *anchors*
 (Lemma 8), partitions R by the competitor half-spaces between the bottom
 layer of Ge and the (bound-adjusted) top layer of Gc plus the anchor
-comparisons (Corollary 3), and finally certifies each sub-cell by running
-the exact peeling oracle at the cell's interior point.  Certification
-keeps LS sound for its sampled weight while staying incomplete exactly
-like the paper's local search (the Fig. 12 ratio experiment).
+comparisons (Corollary 3), and finally certifies the cell at its
+interior point.  Certification keeps LS sound for its sampled weight
+while staying incomplete exactly like the paper's local search (the
+Fig. 12 ratio experiment).
+
+Every candidate Verify sees is a connected k-core containing Q (expand
+snapshots, prefix k-ĉores and H^t_k itself), so its structural checks
+stay local: an outside vertex survives next to the candidate iff it has
+k neighbors in it, only bound vertices can peel when they join it, and
+deleting a member removes exactly that member's cascade.  The dominance
+checks read Gd's cached descendant closure.  The dict reference loop
+this replaced is ``tests/oracles/local_search.py``.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from collections.abc import Iterable
 
 import numpy as np
@@ -32,24 +41,18 @@ from repro.geometry.cell import Cell
 from repro.geometry.partition_tree import PartitionTree
 from repro.geometry.region import PreferenceRegion
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.core import k_core_containing
 from repro.kernels.flatgraph import FlatGraph
 from repro.kernels.search import (
     alive_degrees,
     cascade_rows,
-    k_core_containing_rows,
     prefix_communities,
     prefix_entry_sizes,
     prefix_sets_agree,
-    restrict_rows,
+    query_side,
     search_flatgraph,
 )
 from repro.core.global_search import SearchStats
-from repro.core.peeling import (
-    cascade_delete,
-    deletion_chain,
-    restrict_to_query_component,
-)
+from repro.core.peeling import deletion_chain
 from repro.core.query import Community, PartitionEntry
 
 #: Eq. 3 / Eq. 4 constants, as used in the paper's experiments.
@@ -99,134 +102,29 @@ def expand(
     a push-style best-first queue (the Andersen et al. PPR-push idiom):
     adding a member *pushes* priority increments to its neighbors instead
     of recomputing scores from scratch, so good communities surface
-    early.  ``flat`` selects the array-backed implementation (a
-    :func:`~repro.kernels.search.search_flatgraph` view of ``htk``);
-    both paths visit vertices in the identical order — neighbor pushes
-    happen in sorted order, stale entries re-enter the heap with their
-    original tie-break counter — so the candidate stream is
-    bit-identical across backends.  With ``anytime`` set, deadline
-    expiry stops the expansion and returns the candidates found so far
-    instead of raising.
+    early.  The loop runs over ``flat``, a row-sorted
+    :func:`~repro.kernels.search.search_flatgraph` view of ``htk`` (built
+    here when not given).  With ``anytime`` set, deadline expiry stops
+    the expansion and returns the candidates found so far instead of
+    raising.
+
+    ``gain[r]`` (member neighbors of row r) is maintained incrementally
+    by one increment per pushed edge, so a priority read is O(1) for
+    Eq. 3 instead of a neighbor scan — recomputation at pop time (the
+    lazy-stale check) becomes a lookup.  For Eq. 4 a histogram of member
+    degrees keeps the current minimum ``low``: adding r raises it iff r
+    has more than ``low`` member neighbors and is adjacent to every
+    member of degree ``low``, so f1 needs only r's own neighbors.  Q's
+    connectivity is tracked by union-find only until Q is connected
+    (members only grow).  The per-vertex state lives in python lists
+    over the cached CSR lists: this loop holds the GIL, and plain list
+    indexing beats numpy scalar access.  Rows are in ascending id order
+    and neighbor pushes happen in row order; stale entries re-enter the
+    heap with their original tie-break counter.
     """
     if strategy not in ("eq3", "eq4"):
         raise QueryError(f"unknown expand strategy {strategy!r}")
-    if flat is not None:
-        return _expand_flat(
-            flat, gd, query, k, strategy, max_candidates,
-            max_vertices, deadline, anytime,
-        )
-    q = sorted(set(query))
-    members: set[int] = set(q)
-    degree_in = {v: 0 for v in q}
-    uf = _UnionFind()
-    for v in q:
-        uf.add(v)
-    for v in q:
-        for u in htk.neighbors(v):
-            if u in members:
-                degree_in[v] += 1
-                uf.union(v, u)
-    zeta = max(ZETA, gd.max_layer() + 1)
-
-    def f3(v: int) -> int:
-        return zeta - gd.layer(v)
-
-    def priority(v: int) -> float:
-        gain = sum(1 for u in htk.neighbors(v) if u in members)
-        if strategy == "eq3":
-            return LAMBDA * gain + f3(v)
-        # Eq. 4: f1 is 1 when adding v raises the current minimum degree.
-        current_min = min(degree_in[m] for m in members)
-        joined_min = min(
-            min(
-                degree_in[m] + (1 if v in htk.neighbors(m) else 0)
-                for m in members
-            ),
-            gain,
-        )
-        f1 = 1 if joined_min > current_min else 0
-        return zeta * f1 + f3(v)
-
-    counter = 0
-    heap: list[tuple[float, int, int]] = []
-    in_heap: set[int] = set()
-
-    def push(v: int) -> None:
-        nonlocal counter
-        counter += 1
-        heapq.heappush(heap, (-priority(v), counter, v))
-        in_heap.add(v)
-
-    for v in q:
-        for u in sorted(htk.neighbors(v)):
-            if u not in members and u not in in_heap:
-                push(u)
-
-    candidates: list[frozenset[int]] = []
-    budget = max_vertices if max_vertices is not None else htk.num_vertices
-    deficient = sum(1 for v in members if degree_in[v] < k)
-    while heap and len(candidates) < max_candidates and len(members) <= budget:
-        if deadline is not None:
-            if anytime:
-                if deadline.expired():
-                    break
-            else:
-                deadline.check("local expand")
-        neg_p, _count, v = heapq.heappop(heap)
-        if v in members:
-            continue
-        current_p = -priority(v)
-        if current_p < neg_p:  # stale priority: degree grew since push
-            heapq.heappush(heap, (current_p, _count, v))
-            continue
-        members.add(v)
-        uf.add(v)
-        degree_in[v] = 0
-        for u in sorted(htk.neighbors(v)):
-            if u in members:
-                if degree_in[u] == k - 1:
-                    deficient -= 1
-                degree_in[u] += 1
-                degree_in[v] += 1
-                uf.union(v, u)
-            elif u not in in_heap:
-                push(u)
-        if degree_in[v] < k:
-            deficient += 1
-        if deficient == 0:
-            roots = {uf.find(x) for x in q}
-            if len(roots) == 1:
-                candidates.append(frozenset(members))
-    return candidates
-
-
-def _expand_flat(
-    fg: FlatGraph,
-    gd: DominanceGraph,
-    query: Iterable[int],
-    k: int,
-    strategy: str,
-    max_candidates: int,
-    max_vertices: int | None,
-    deadline: Deadline | None,
-    anytime: bool,
-) -> list[frozenset[int]]:
-    """Expand over a row-sorted CSR view of H^t_k.
-
-    The push idiom pays off here: ``gain[r]`` (member neighbors of row
-    r) is maintained incrementally by one increment per pushed edge, so
-    a priority read is O(1) for Eq. 3 instead of a neighbor scan —
-    recomputation at pop time (the lazy-stale check) becomes a lookup.
-    For Eq. 4 a histogram of member degrees keeps the current minimum
-    ``low``: adding r raises it iff r has more than ``low`` member
-    neighbors and is adjacent to every member of degree ``low``, so f1
-    needs only r's own neighbors.  Q's connectivity is tracked by
-    union-find only until Q is connected (members only grow).  The
-    per-vertex state lives in python lists over the cached CSR lists:
-    this loop holds the GIL, and plain list indexing beats numpy scalar
-    access.  Row order equals ascending id order and the CSR rows are
-    pre-sorted, so heap contents match the reference path exactly.
-    """
+    fg = flat if flat is not None else search_flatgraph(htk)
     q = sorted(set(query))
     n = fg.n
     indptr, indices, _weights = fg.lists()
@@ -348,7 +246,11 @@ def _expand_flat(
 
 
 class LocalSearch:
-    """Algorithms 3-5 over a prepared H^t_k and its r-dominance graph."""
+    """Algorithms 3-5 over a prepared H^t_k and its r-dominance graph.
+
+    ``htk`` must be a connected k-core containing Q, as H^t_k is: every
+    candidate the search verifies then is one too.
+    """
 
     def __init__(
         self,
@@ -383,25 +285,19 @@ class LocalSearch:
         #: Checked per expand step, per threshold probe, and per
         #: candidate verification.
         self.deadline = deadline
-        #: Optional CSR view of ``htk`` (same vertex set) — the "flat"
-        #: search backend: expand, the k-ĉore probes, and the peeling
-        #: certifications run over int row arrays with batch degree
-        #: updates instead of dict subgraph copies.  The engine always
-        #: passes one; ``None`` runs the dict loop, the reference that
-        #: ``tests/core/test_search_backends.py`` compares against.
-        self.flat = flat
-        self._qrows: list[int] = [] if flat is None else flat.rows_of(
-            tuple(sorted(set(query)))
-        )
+        #: Row-sorted CSR view of ``htk`` that expand, the probes and the
+        #: certifications run over; the engine passes its cached one.
+        self.flat = flat if flat is not None else search_flatgraph(htk)
+        self._qrows: list[int] = self.flat.rows_of(self.query)
         #: Anytime mode: deadline expiry stops the search and returns
         #: the certified entries found so far (``partial`` set) instead
         #: of raising.
         self.anytime = anytime
         self.partial = False
         self.stats = SearchStats()
-        self._all = frozenset(htk.vertices())
+        self._all = frozenset(self.flat.ids)
         self._all_leaves = frozenset(gd.leaves_within(self._all))
-        self._bound_memo: dict[tuple[int, frozenset[int]], bool] = {}
+        self._root = Cell.from_region(region)
 
     def _checkpoint(self, stage: str) -> bool:
         """Deadline gate: True means "stop here" (anytime expiry).
@@ -419,27 +315,13 @@ class LocalSearch:
         self.deadline.check(stage)
         return False
 
-    def _kcore_members(self, vertices) -> frozenset[int] | None:
-        """Members of the connected k-ĉore of H^t_k[vertices] around Q.
-
-        The one k-core probe every Verify helper reduces to; the flat
-        path peels a row mask in place of building a dict subgraph.
-        ``None`` when no such core exists (including Q ⊄ vertices).
-        """
-        if self.flat is not None:
-            fg = self.flat
-            mask = np.zeros(fg.n, bool)
-            mask[fg.rows_of(vertices)] = True
-            comp = k_core_containing_rows(fg, mask, self._qrows, self.k)
-            if comp is None:
-                return None
-            return frozenset(fg.select_ids(comp))
-        core = k_core_containing(
-            self.htk.subgraph(vertices), self.query, self.k
-        )
-        if core is None:
-            return None
-        return frozenset(core.vertices())
+    def _neighbors(self, v: int) -> list[int]:
+        """Neighbor ids of ``v`` in H^t_k."""
+        fg = self.flat
+        indptr, indices, _weights = fg.lists()
+        r = fg.row_map[v]
+        ids = fg.ids
+        return [ids[u] for u in indices[indptr[r]:indptr[r + 1]]]
 
     # ------------------------------------------------------------------
     # Corollary 2 / Lemma 8 machinery
@@ -451,18 +333,16 @@ class LocalSearch:
         it r-dominates a member, and it is structurally safe even when all
         other outside vertices are gone) — Corollary 2(2).  If it does not,
         v is *bound*: it dies by cascade regardless of its score.
+
+        VH is a connected k-core containing Q, so adding v keeps every
+        member's degree >= k: v survives iff it has k neighbors in VH
+        (and one, to join Q's component, when k = 0).
         """
-        key = (v, members)
-        memo = self._bound_memo.get(key)
-        if memo is not None:
-            return memo
-        core = self._kcore_members(members | {v})
-        survives = core is not None and v in core
-        self._bound_memo[key] = survives
-        return survives
+        d = sum(1 for u in self._neighbors(v) if u in members)
+        return d >= max(self.k, 1)
 
     def _effective_tops(
-        self, outside: set[int], members: frozenset[int]
+        self, outside: frozenset[int], members: frozenset[int]
     ) -> tuple[list[int], set[int]] | None:
         """Top layer of Gc after discarding bound vertices (Corollary 3(2)).
 
@@ -473,20 +353,18 @@ class LocalSearch:
         remains in H, and it survives structurally even with every other
         outside vertex gone).
         """
-        dominates_member = self.gd.has_descendant_in(set(members))
-        for v in outside:
-            if dominates_member[v] and self._survives_alone(v, members):
+        for v in self.gd.dominating(members, outside):
+            if self._survives_alone(v, members):
                 return None
         pool = set(outside)
         bound_all: set[int] = set()
         while True:
             tops = self.gd.tops_within(pool)
             bound = [t for t in tops if not self._survives_alone(t, members)]
-            safe = [t for t in tops if t not in bound]
             if not bound:
-                return safe, bound_all
+                return tops, bound_all
             bound_all.update(bound)
-            pool -= set(bound)
+            pool.difference_update(bound)
             if not pool:
                 return [], bound_all
 
@@ -501,21 +379,53 @@ class LocalSearch:
         member must be score-deleted first, a disjunctive condition the
         convex clip cell cannot express.  Such candidates are certified
         with the exact chain oracle instead.
+
+        Only bound vertices can peel from the k-core of VH ∪ bound (every
+        member keeps its k neighbors in VH); a survivor is in Q's
+        component iff some survivor touches VH.
         """
         if not bound:
             return False
-        core = self._kcore_members(members | bound)
-        return core is not None and any(v in core for v in bound)
+        nbrs = {v: self._neighbors(v) for v in bound}
+        alive = set(bound)
+        deg = {
+            v: sum(1 for u in nbrs[v] if u in members or u in alive)
+            for v in bound
+        }
+        stack = [v for v in bound if deg[v] < self.k]
+        while stack:
+            v = stack.pop()
+            if v not in alive:
+                continue
+            alive.discard(v)
+            for u in nbrs[v]:
+                if u in alive:
+                    deg[u] -= 1
+                    if deg[u] < self.k:
+                        stack.append(u)
+        return any(u in members for v in alive for u in nbrs[v])
 
     def _anchors(
         self, members: frozenset[int], leaves: list[int]
     ) -> list[int]:
-        """Lemma 8: non-Q leaves of Ge whose removal keeps a k-ĉore ⊇ Q."""
+        """Lemma 8: non-Q leaves of Ge whose removal keeps a k-ĉore ⊇ Q.
+
+        VH is a k-core, so the k-core of VH - {v} is VH minus v's
+        deletion cascade; v is an anchor iff that cascade spares Q and
+        leaves Q connected.
+        """
+        targets = [v for v in leaves if v not in self.query_set]
+        if not targets:
+            return []
+        fg = self.flat
+        mask = np.zeros(fg.n, bool)
+        mask[fg.rows_of(members)] = True
+        deg = alive_degrees(fg, mask)
         anchors = []
-        for v in leaves:
-            if v in self.query_set:
-                continue
-            if self._kcore_members(members - {v}) is not None:
+        for v in targets:
+            alive = mask.copy()
+            cascade_rows(fg, deg.copy(), alive, fg.row_map[v], self.k)
+            if query_side(fg, alive, self._qrows) is not None:
                 anchors.append(v)
         return anchors
 
@@ -530,7 +440,7 @@ class LocalSearch:
         return frozenset(chain[-1]) == members
 
     def _certify_fast(
-        self, cell: Cell, members: frozenset[int], ge_leaves: list[int]
+        self, cell: Cell, ge_leaves: list[int], anchors: list[int]
     ) -> bool:
         """Local non-containment check at the cell's interior point.
 
@@ -538,45 +448,24 @@ class LocalSearch:
         Corollary-3 half-spaces already clipped into the cell; what
         remains is Definition 6: deleting H's smallest-score member must
         destroy the k-ĉore around Q.  The minimum of H is attained at a
-        bottom-layer vertex of Ge, so only those are inspected, and the
-        cascade runs on H's own subgraph only.
+        bottom-layer vertex u of Ge, and the anchor test already ran that
+        deletion's cascade for every such u outside Q: it breaks the
+        k-ĉore exactly when u is no anchor (Corollary 1(2)).  Q's
+        members are never anchors (Corollary 1(1)).
         """
         w = cell.interior_point()
         u = min(
             ge_leaves, key=lambda v: (self.gd.score_at(v, w), v)
         )
-        if u in self.query_set:
-            return True  # Corollary 1(1)
-        if self.flat is not None:
-            fg = self.flat
-            mask = np.zeros(fg.n, bool)
-            mask[fg.rows_of(members)] = True
-            deg = alive_degrees(fg, mask)
-            removed = cascade_rows(fg, deg, mask, fg.row_of(u), self.k)
-            ids = fg.ids
-            if {ids[i] for i in removed.tolist()} & self.query_set:
-                return True  # Corollary 1(2)
-            return restrict_rows(fg, mask, self._qrows) is None
-        sub = self.htk.subgraph(members)
-        deleted = cascade_delete(sub, u, self.k)
-        if deleted & self.query_set:
-            return True  # Corollary 1(2)
-        return restrict_to_query_component(sub, self.query) is None
-
-    def _certify(
-        self, cell: Cell, members: frozenset[int], ge_leaves: list[int]
-    ) -> bool:
-        if self.certification == "chain":
-            return self._certify_chain(cell, members)
-        return self._certify_fast(cell, members, ge_leaves)
+        return u not in anchors
 
     def _verify_candidate(
         self, members: frozenset[int]
     ) -> list[tuple[Cell, frozenset[int]]]:
         """Algorithm 5 for one candidate: certified (cell, members)."""
-        outside = set(self._all - members)
-        root = Cell.from_region(self.region)
+        outside = self._all - members
         mutual_support = False
+        tops: list[int] = []  # H^t_k itself: only anchors matter
         if outside:
             # Corollary 2(1): deletion must start at an outside leaf of Gd.
             if not (self._all_leaves & outside):
@@ -586,8 +475,6 @@ class LocalSearch:
                 return []
             tops, bound = analyzed
             mutual_support = self._has_mutual_support(members, bound)
-        else:
-            tops = []  # candidate is H^t_k itself: only anchors matter
         ge_leaves = self.gd.leaves_within(members)
         anchors = self._anchors(members, ge_leaves)
         # Corollary 3: H is valid where every bottom-layer member of Ge
@@ -595,7 +482,7 @@ class LocalSearch:
         # the community minimum.  Each condition is one half-space, so the
         # validity region is a single convex cell — clip instead of
         # building an arrangement.
-        cell = root
+        cell = self._root
         non_anchor_leaves = [u for u in ge_leaves if u not in anchors]
         for u in ge_leaves:
             for a in tops:
@@ -609,13 +496,13 @@ class LocalSearch:
                 self.stats.halfspaces_inserted += 1
                 if cell.is_empty():
                     return []
-        if mutual_support:
+        if mutual_support or self.certification == "chain":
             # Disjunctive reachability (Corollary 3(3)): the fast local
             # check cannot see which cluster member breaks first — use
             # the exact oracle for this (rare) shape.
             certified = self._certify_chain(cell, members)
         else:
-            certified = self._certify(cell, members, ge_leaves)
+            certified = self._certify_fast(cell, ge_leaves, anchors)
         if certified:
             return [(cell, members)]
         return []
@@ -637,15 +524,10 @@ class LocalSearch:
         ``per_probe`` distinct communities.  A walk reads only the prefix
         sets at the sizes it visits (and the one below its start), so a
         probe whose ranking has the same prefix sets there as an earlier
-        probe's is skipped.  Both backends sweep the same row-sorted CSR
-        view.
+        probe's is skipped.
         """
-        if not self.query_set <= self._all:
-            return []
-        fg = self.flat if self.flat is not None else search_flatgraph(
-            self.htk
-        )
-        qrows = fg.rows_of(self.query)
+        fg = self.flat
+        qrows = self._qrows
         probes = [self.region.pivot()]
         probes.extend(self.region.corners())
         out: list[frozenset[int]] = []
@@ -683,9 +565,8 @@ class LocalSearch:
             walks.append((order, [min(s, fg.n) for s in sizes]))
         return out
 
-    def search_nc(self) -> list[PartitionEntry]:
-        """Problem 2 via local search: non-contained MACs with partitions."""
-        candidates = expand(
+    def _expand(self) -> list[frozenset[int]]:
+        return expand(
             self.htk,
             self.gd,
             self.query,
@@ -696,11 +577,23 @@ class LocalSearch:
             flat=self.flat,
             anytime=self.anytime,
         )
+
+    def search_nc(self) -> list[PartitionEntry]:
+        """Problem 2 via local search: non-contained MACs with partitions.
+
+        ``stats.extra`` records the seconds spent in expand
+        (``expand_s``), threshold probing (``probe_s``) and Verify
+        (``verify_s``).
+        """
+        start = time.perf_counter()
+        candidates = self._expand()
+        expanded = time.perf_counter()
         for extra in self._threshold_candidates():
             if extra not in candidates:
                 candidates.append(extra)
         if self._all not in candidates:
             candidates.append(self._all)
+        probed = time.perf_counter()
         self.stats.candidates = len(candidates)
         entries: list[PartitionEntry] = []
         claimed: list[frozenset[int]] = []
@@ -712,15 +605,17 @@ class LocalSearch:
             claimed.append(members)
             for cell, found in self._verify_candidate(members):
                 entries.append(PartitionEntry(cell, [Community(found)]))
+        self.stats.extra.update(
+            expand_s=expanded - start,
+            probe_s=probed - expanded,
+            verify_s=time.perf_counter() - probed,
+        )
         if self.partial and not entries:
             # Anytime fallback: H^t_k itself is a feasible community
             # for all of R (a connected k-core containing Q), just not
             # certified non-contained — return it as the best-so-far.
             entries.append(
-                PartitionEntry(
-                    Cell.from_region(self.region),
-                    [Community(self._all, partial=True)],
-                )
+                PartitionEntry(self._root, [Community(self._all, partial=True)])
             )
         self.stats.partitions = len(entries)
         return entries

@@ -4,9 +4,12 @@ Vertices are streamed in non-increasing pivot-score order by the adapted
 BBS over an R-tree of the attribute vectors; each arrival is attached
 below its most specific r-dominators (transitive-reduction arcs only, as
 in Fig. 4(b)).  Pivot ordering guarantees no later vertex can r-dominate
-an earlier one, so the insertion order is a topological order — which the
-subset passes (leaves/tops within a vertex subset) exploit for O(V + E)
-sweeps.
+an earlier one, so the insertion order is a topological order.  One
+reverse-topological OR sweep over it yields every vertex's
+strict-descendant bitset (:meth:`DominanceGraph.closure`, built lazily
+and cached); the subset queries (leaves/tops within a vertex subset,
+dominators of a subset) then cost one big-int AND or OR per member.
+Above ``CLOSURE_MAX`` vertices they fall back to O(V + E) sweeps.
 
 Construction keeps every corner score in one ``(n, p)`` matrix:
 dominator detection is a single vectorized comparison against the
@@ -94,6 +97,7 @@ class DominanceGraph:
         self.roots: list[Vertex] = []
         self._layer: dict[Vertex, int] = {}
         self._halfspace_cache: dict[tuple[Vertex, Vertex], Halfspace] = {}
+        self._desc_bits: list[int] | None = None
 
     @classmethod
     def from_hasse(
@@ -327,6 +331,67 @@ class DominanceGraph:
         return h
 
     # ------------------------------------------------------------------
+    # descendant closure (bitsets over sorted-id rows)
+    # ------------------------------------------------------------------
+    #: Size cap for the closure: ``n`` Python-int bitsets of ``n`` bits
+    #: cost ~n**2 / 8 bytes (32 MiB at the cap); above it the subset
+    #: queries fall back to the O(V + E) sweeps.
+    CLOSURE_MAX = 16384
+
+    def closure(self) -> list[int] | None:
+        """Strict-descendant bitset of every vertex, or None above the cap.
+
+        Entry ``r`` describes the vertex of sorted-id row ``r`` (see
+        :meth:`row_of`); bit ``c`` is set iff that vertex r-dominates the
+        vertex of row ``c``.  Built lazily in one reverse-topological OR
+        sweep and cached on this graph (a benign race under concurrent
+        first use: every racing call computes the same list).  Never
+        pickled.
+        """
+        desc = self._desc_bits
+        if desc is None and len(self._ids) <= self.CLOSURE_MAX:
+            row = self._cs_row
+            desc = [0] * len(self._ids)
+            for v in reversed(self.order):
+                bits = 0
+                for c in self.children[v]:
+                    rc = row[c]
+                    bits |= desc[rc] | (1 << rc)
+                desc[row[v]] = bits
+            self._desc_bits = desc
+        return desc
+
+    def row_of(self, v: Vertex) -> int:
+        """Sorted-id row of ``v``: its bit in :meth:`closure` masks."""
+        return self._cs_row[v]
+
+    def mask_of(self, subset: Iterable[Vertex]) -> int:
+        """Bitset of ``subset`` over sorted-id rows."""
+        rows = np.zeros(len(self._ids), bool)
+        rows[[self._cs_row[v] for v in subset]] = True
+        return int.from_bytes(
+            np.packbits(rows, bitorder="little").tobytes(), "little"
+        )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_desc_bits"] = None
+        return state
+
+    def dominating(
+        self, targets: Iterable[Vertex], among: Iterable[Vertex]
+    ) -> list[Vertex]:
+        """Members of ``among`` that r-dominate some member of ``targets``
+        (strict descendants, as :meth:`has_descendant_in`)."""
+        desc = self.closure()
+        if desc is None:
+            flag = self.has_descendant_in(set(targets))
+            return [v for v in among if flag[v]]
+        mask = self.mask_of(targets)
+        row = self._cs_row
+        return [v for v in among if desc[row[v]] & mask]
+
+    # ------------------------------------------------------------------
     # subset sweeps (all O(V + E_hasse) using the topological order)
     # ------------------------------------------------------------------
     def has_descendant_in(self, subset: set[Vertex]) -> dict[Vertex, bool]:
@@ -352,8 +417,13 @@ class DominanceGraph:
         (lb(Ge) in Section VI-B).
         """
         s = set(subset)
-        flag = self.has_descendant_in(s)
-        return sorted(v for v in s if not flag[v])
+        desc = self.closure()
+        if desc is None:
+            flag = self.has_descendant_in(s)
+            return sorted(v for v in s if not flag[v])
+        mask = self.mask_of(s)
+        row = self._cs_row
+        return sorted(v for v in s if not desc[row[v]] & mask)
 
     def tops_within(self, subset: Iterable[Vertex]) -> list[Vertex]:
         """Top layer of Gd[subset]: members with r-dominance count 0 inside.
@@ -362,8 +432,15 @@ class DominanceGraph:
         by some top-layer member.
         """
         s = set(subset)
-        flag = self.has_ancestor_in(s)
-        return sorted(v for v in s if not flag[v])
+        desc = self.closure()
+        if desc is None:
+            flag = self.has_ancestor_in(s)
+            return sorted(v for v in s if not flag[v])
+        row = self._cs_row
+        covered = 0
+        for v in s:
+            covered |= desc[row[v]]
+        return sorted(v for v in s if not covered >> row[v] & 1)
 
     def ancestors(self, v: Vertex) -> set[Vertex]:
         """All strict Hasse-ancestors (the r-dominators) of ``v``."""

@@ -35,8 +35,6 @@ from repro.kernels.search import (
     alive_degrees,
     cascade_rows,
     deletion_chain_rows,
-    k_core_containing_rows,
-    restrict_rows,
     restrict_rows_incremental,
     search_flatgraph,
 )
@@ -54,12 +52,10 @@ __all__ = [
     "dense_weight_matrix",
     "insert_edge_rows",
     "k_core_component",
-    "k_core_containing_rows",
     "k_core_mask",
     "masked_dijkstra_rows",
     "repair_delete_rows",
     "repair_insert_rows",
-    "restrict_rows",
     "restrict_rows_incremental",
     "search_flatgraph",
 ]

@@ -2,9 +2,9 @@
 
 PR 2 flattened the *index* stages (core decomposition, components,
 dominance); this module flattens the *search* loops — the cascade
-deletes, per-task peeling, k-ĉore probes, prefix k-core sweeps and
-fixed-weight deletion chains that GS and LS run thousands of times per
-query.  Everything operates on int row arrays of a :class:`FlatGraph`
+deletes, per-task peeling, query-connectivity checks, prefix k-core
+sweeps and fixed-weight deletion chains that GS and LS run thousands of
+times per query.  Everything operates on int row arrays of a :class:`FlatGraph`
 with batch degree updates (one ragged gather + ``bincount`` per cascade
 round), mirroring the level-synchronous pattern of
 :func:`repro.kernels.core.core_numbers`.
@@ -104,58 +104,15 @@ def cascade_rows(
     return np.concatenate(removed)
 
 
-def restrict_rows(
+def query_side(
     fg: FlatGraph, alive: np.ndarray, query_rows: list[int]
 ) -> np.ndarray | None:
-    """Keep only the component of Q; ``None`` when Q breaks apart.
-
-    Mutates ``alive`` down to the query component and returns the
-    dropped rows.  Degrees of surviving rows need no update: a dropped
-    component has no alive neighbor in the kept one.
-    """
+    """Rows an early-exit BFS from Q's first row reaches over ``alive``,
+    stopping once every query row is reached; ``None`` when a query row
+    is dead or unreachable (Q is not connected in ``fg[alive]``)."""
     if not all(alive[r] for r in query_rows):
         return None
-    comp = component_mask(fg, query_rows[0], alive)
-    if not all(comp[r] for r in query_rows):
-        return None
-    dropped = np.nonzero(alive & ~comp)[0]
-    if dropped.size:
-        alive[dropped] = False
-    return dropped
-
-
-def restrict_rows_incremental(
-    fg: FlatGraph,
-    alive: np.ndarray,
-    query_rows: list[int],
-    removed_rows: np.ndarray,
-) -> np.ndarray | None:
-    """Keep only the component of Q after ``removed_rows`` just died.
-
-    Incremental form of :func:`restrict_rows` for the search loops'
-    invariant: *before* the removal, the alive rows (plus the removed
-    ones) formed a single connected component containing Q.  Any
-    component split off by the removal must then contain an alive
-    ex-neighbor of the removed set, so only those neighbors need
-    classifying.  An early-exit BFS first re-verifies Q-side
-    connectivity (stopping as soon as every query row is reached);
-    each ex-neighbor's BFS then either touches the known query side
-    (same component — its explored prefix joins the known side) or
-    exhausts, which is exactly a dropped component.  Per peel round
-    this replaces a full-component sweep with work proportional to
-    the dropped components plus short early-exit prefixes.
-
-    Mutates ``alive`` like :func:`restrict_rows` and returns the
-    dropped rows, or ``None`` when Q itself breaks apart.
-    """
-    if not all(alive[r] for r in query_rows):
-        return None
-    nb = _gather(fg, removed_rows)
-    touched = np.unique(nb[alive[nb]])
-    if touched.size == 0:
-        return _EMPTY
-    n = fg.n
-    qside = np.zeros(n, bool)
+    qside = np.zeros(fg.n, bool)
     q0 = query_rows[0]
     qside[q0] = True
     frontier = np.asarray([q0], np.int64)
@@ -166,7 +123,46 @@ def restrict_rows_incremental(
         qside[frontier] = True
     if not all(qside[r] for r in query_rows):
         return None
-    seen = np.zeros(n, bool)
+    return qside
+
+
+def restrict_rows_incremental(
+    fg: FlatGraph,
+    alive: np.ndarray,
+    query_rows: list[int],
+    removed_rows: np.ndarray,
+) -> np.ndarray | None:
+    """Keep only the component of Q after ``removed_rows`` just died.
+
+    Relies on the search loops' invariant: *before* the removal, the
+    alive rows (plus the removed ones) formed a single connected
+    component containing Q.  Any
+    component split off by the removal must then contain an alive
+    ex-neighbor of the removed set, so only those neighbors need
+    classifying.  An early-exit BFS first re-verifies Q-side
+    connectivity (stopping as soon as every query row is reached);
+    each ex-neighbor's BFS then either touches the known query side
+    (same component — its explored prefix joins the known side) or
+    exhausts, which is exactly a dropped component.  Per peel round
+    this replaces a full-component sweep with work proportional to
+    the dropped components plus short early-exit prefixes
+    (:func:`query_side`).
+
+    Mutates ``alive`` down to the query component and returns the
+    dropped rows, or ``None`` when Q itself breaks apart.  Degrees of
+    surviving rows need no update: a dropped component has no alive
+    neighbor in the kept one.
+    """
+    if not all(alive[r] for r in query_rows):
+        return None
+    nb = _gather(fg, removed_rows)
+    touched = np.unique(nb[alive[nb]])
+    if touched.size == 0:
+        return _EMPTY
+    qside = query_side(fg, alive, query_rows)
+    if qside is None:
+        return None
+    seen = np.zeros(fg.n, bool)
     dropped: list[np.ndarray] = []
     for a in touched.tolist():
         if qside[a] or not alive[a]:
@@ -196,41 +192,6 @@ def restrict_rows_incremental(
     if not dropped:
         return _EMPTY
     return np.concatenate(dropped)
-
-
-def k_core_containing_rows(
-    fg: FlatGraph,
-    mask: np.ndarray,
-    query_rows: list[int],
-    k: int,
-) -> np.ndarray | None:
-    """Row mask of the connected k-core of ``fg[mask]`` containing Q.
-
-    The flat analogue of :func:`repro.graph.core.k_core_containing`
-    restricted to an induced subgraph, without materializing it: peel
-    ``deg < k`` within the mask, then keep Q's component.  ``None``
-    when a query row is peeled away or the rows straddle components.
-    """
-    n = fg.n
-    alive = mask.copy()
-    deg = alive_degrees(fg, alive)
-    cand = np.nonzero(alive & (deg < k))[0]
-    while cand.size:
-        alive[cand] = False
-        nb = _gather(fg, cand)
-        nb = nb[alive[nb]]
-        if nb.size == 0:
-            cand = _EMPTY
-            continue
-        deg -= np.bincount(nb, minlength=n)
-        touched = np.unique(nb)
-        cand = touched[deg[touched] < k]
-    if not all(alive[r] for r in query_rows):
-        return None
-    comp = component_mask(fg, query_rows[0], alive)
-    if not all(comp[r] for r in query_rows):
-        return None
-    return comp
 
 
 def prefix_entry_sizes(

@@ -21,6 +21,7 @@ from repro.kernels.search import (
 )
 
 from tests.conftest import paper_attributes, paper_social_graph, random_graph
+from tests.oracles.local_search import ReferenceLocalSearch
 from tests.oracles.threshold_probing import threshold_candidates
 
 
@@ -185,8 +186,10 @@ class TestRankings:
 # candidate lists equal the re-peeling reference
 # ----------------------------------------------------------------------
 def both_backends(htk, gd, query, k, region, **kwargs):
-    for flat in (search_flatgraph(htk), None):
-        yield LocalSearch(htk, gd, query, k, region, flat=flat, **kwargs)
+    """The flat loop and the dict reference loop over the same inputs."""
+    flat = search_flatgraph(htk)
+    for searcher in (LocalSearch, ReferenceLocalSearch):
+        yield searcher(htk, gd, query, k, region, flat=flat, **kwargs)
 
 
 class TestCandidateEquality:
@@ -242,7 +245,7 @@ def yelp_shapes():
 
 def fresh_copy(ls):
     """A new searcher on ``ls``'s inputs (no memo carried over)."""
-    return LocalSearch(
+    return type(ls)(
         ls.htk, ls.gd, ls.query, ls.k, ls.region, strategy=ls.strategy,
         flat=ls.flat,
     )
@@ -321,9 +324,10 @@ class TestAnytimeInsideProbing:
             return real(*args)
 
         monkeypatch.setattr(local_search, "prefix_entry_sizes", arming_sweep)
-        ls = LocalSearch(
+        searcher = LocalSearch if flat else ReferenceLocalSearch
+        ls = searcher(
             htk, gd, [2, 3, 6], 3, paper_region, deadline=deadline,
-            anytime=True, flat=search_flatgraph(htk) if flat else None,
+            anytime=True,
         )
         entries = ls.search_nc()
         assert len(sweeps) == 1  # expired during the first probe's walk

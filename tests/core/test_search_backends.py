@@ -1,6 +1,8 @@
 """Flat-kernel search loops are asserted equivalent to the python
 reference paths: same partitions, same cells, same communities, same
-ordering — on the paper's running example and on random graphs."""
+ordering — on the paper's running example and on random graphs.  GS
+runs both of its loops; LS runs its one loop against the dict reference
+of ``tests/oracles/local_search.py``."""
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from tests.conftest import (
     paper_social_graph,
     random_graph,
 )
+from tests.oracles.local_search import ReferenceLocalSearch
 
 
 def signature(partitions):
@@ -68,17 +71,19 @@ class TestPaperExampleEquivalence:
         htk, gd = paper_setup
         flat = search_flatgraph(htk)
 
-        def run(flat_view):
-            search = LocalSearch(
+        def run(searcher):
+            search = searcher(
                 htk, gd, [2, 3, 6], 3, paper_region,
                 strategy=strategy, certification=certification,
-                flat=flat_view,
+                flat=flat,
             )
             if problem == "nc":
                 return search.search_nc()
             return search.search_topj(j)
 
-        assert signature(run(flat)) == signature(run(None))
+        assert signature(run(LocalSearch)) == signature(
+            run(ReferenceLocalSearch)
+        )
 
 
 class TestRandomGraphEquivalence:
@@ -117,12 +122,14 @@ class TestRandomGraphEquivalence:
         gd = DominanceGraph(attrs, region)
         flat = search_flatgraph(htk)
 
-        def run(flat_view):
-            return LocalSearch(
-                htk, gd, q, 2, region, strategy=strategy, flat=flat_view,
+        def run(searcher):
+            return searcher(
+                htk, gd, q, 2, region, strategy=strategy, flat=flat,
             ).search_nc()
 
-        assert signature(run(flat)) == signature(run(None))
+        assert signature(run(LocalSearch)) == signature(
+            run(ReferenceLocalSearch)
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_local_chain_certification(self, seed):
@@ -137,10 +144,11 @@ class TestRandomGraphEquivalence:
         gd = DominanceGraph(attrs, region)
         flat = search_flatgraph(htk)
 
-        def run(flat_view):
-            return LocalSearch(
-                htk, gd, q, 3, region,
-                certification="chain", flat=flat_view,
+        def run(searcher):
+            return searcher(
+                htk, gd, q, 3, region, certification="chain", flat=flat,
             ).search_topj(2)
 
-        assert signature(run(flat)) == signature(run(None))
+        assert signature(run(LocalSearch)) == signature(
+            run(ReferenceLocalSearch)
+        )

@@ -4,13 +4,15 @@ The original form of ``LocalSearch._threshold_candidates``, kept as the
 oracle of the entry-size sweep that replaced it.  Per probe weight it
 sorts H^t_k by ``(-score_at, id)``, binary-searches the smallest prefix
 whose k-ĉore holds Q, then walks the prefix sizes ``lo, lo + step, ...``
-collecting each new k-ĉore — every size a fresh k-core peel through
-``LocalSearch._kcore_members`` (so each backend keeps its own peel).
+collecting each new k-ĉore — every size a fresh dict k-core peel
+(``tests/oracles/local_search.kcore_members``).
 """
 
 from __future__ import annotations
 
 from repro.core.local_search import LocalSearch
+
+from tests.oracles.local_search import kcore_members
 
 
 def threshold_candidates(
@@ -28,7 +30,7 @@ def threshold_candidates(
         seen_rankings.add(signature)
 
         def core_of(size: int):
-            return ls._kcore_members(ranked[:size])
+            return kcore_members(ls, ranked[:size])
 
         lo, hi = ls.k + 1, len(ranked)
         if core_of(hi) is None:
