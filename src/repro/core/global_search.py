@@ -63,7 +63,8 @@ class GlobalSearch:
     ``htk`` must be connected and contain Q, as H^t_k (and the maximal
     connected k-truss of the truss variant) is: both peel loops restrict
     to Q's component incrementally, from the vertices each cascade
-    removed.
+    removed.  ``gd`` must span exactly ``htk``'s vertices: its Hasse
+    leaves (:meth:`DominanceGraph.leaves`) are the first task's leaves.
     """
 
     def __init__(
@@ -267,7 +268,7 @@ class GlobalSearch:
         alive0 = frozenset(self.htk.vertices())
         if not self.query_set <= alive0:
             raise QueryError("query vertices missing from H^t_k")
-        leaves0 = frozenset(self.gd.leaves_within(alive0))
+        leaves0 = frozenset(self.gd.leaves())
         root = Cell.from_region(self.region)
         results: list[
             tuple[Cell, frozenset[int], tuple[frozenset[int], ...]]

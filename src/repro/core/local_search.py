@@ -249,7 +249,8 @@ class LocalSearch:
     """Algorithms 3-5 over a prepared H^t_k and its r-dominance graph.
 
     ``htk`` must be a connected k-core containing Q, as H^t_k is: every
-    candidate the search verifies then is one too.
+    candidate the search verifies then is one too.  ``gd`` must span
+    exactly ``htk``'s vertices: its Hasse leaves are H^t_k's leaves.
     """
 
     def __init__(
@@ -296,7 +297,7 @@ class LocalSearch:
         self.partial = False
         self.stats = SearchStats()
         self._all = frozenset(self.flat.ids)
-        self._all_leaves = frozenset(gd.leaves_within(self._all))
+        self._all_leaves = frozenset(gd.leaves())
         self._root = Cell.from_region(region)
 
     def _checkpoint(self, stage: str) -> bool:

@@ -425,6 +425,11 @@ class DominanceGraph:
         row = self._cs_row
         return sorted(v for v in s if not desc[row[v]] & mask)
 
+    def leaves(self) -> list[Vertex]:
+        """``leaves_within(self.vertices())`` without a sweep: a vertex
+        r-dominating another has a Hasse path down to it, so a child."""
+        return [v for v in self._ids if not self.children[v]]
+
     def tops_within(self, subset: Iterable[Vertex]) -> list[Vertex]:
         """Top layer of Gd[subset]: members with r-dominance count 0 inside.
 

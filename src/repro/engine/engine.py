@@ -90,21 +90,18 @@ SEARCHER_NAMES = {
 class _PreparedFilter:
     """Cached per-(Q, t) state: Lemma-1 filter plus its coreness array.
 
-    ``flat`` is the CSR view of the filtered subgraph (0 rows when the
-    filter keeps nobody) and ``core_rows`` the coreness of each of its
-    rows, so every later (Q, k, t) core extraction reuses them instead
-    of re-deriving state per k.
+    ``flat`` is the CSR view of the t-bounded social subgraph (0 rows
+    when the filter keeps nobody), the entry's only copy of the graph,
+    and ``core_rows`` the coreness of each of its rows: every later
+    (Q, k, t) core extraction cuts H^t_k from them by row mask.
 
-    Invariant: a cached entry is immutable, ``filtered`` included.  A
-    live repair builds a new entry whose graph shares every adjacency
-    set but the two endpoints' with its predecessor
-    (:meth:`AdjacencyGraph.toggled`), so every consumer reads
-    ``filtered`` or derives from it with ``subgraph()``/``copy()``,
-    never mutates it in place.
+    Invariant: a cached entry is immutable.  A live repair builds a new
+    entry around the new arrays the kernels of
+    :mod:`repro.kernels.livecore` return; nothing writes into ``flat``
+    or ``core_rows`` in place.
     """
 
     query_distance: dict[int, float]
-    filtered: object  # AdjacencyGraph of the t-bounded social subgraph
     flat: FlatGraph
     core_rows: np.ndarray  # coreness, aligned with flat rows
 
@@ -691,9 +688,9 @@ class MACEngine:
 
         The cached entry is never mutated in place — queries already
         holding it keep a consistent pre-mutation view; the repaired
-        copy replaces it in the cache, sharing every adjacency set but
-        the two endpoints' with it.  The CSR is spliced and the coreness
-        rows repaired by the kernels of :mod:`repro.kernels.livecore`.
+        copy replaces it in the cache.  The kernels of
+        :mod:`repro.kernels.livecore` splice the CSR into new arrays and
+        repair a copy of the coreness rows.
         """
         ru, rv = prep.flat.row_of(u), prep.flat.row_of(v)
         if inserted:
@@ -708,7 +705,6 @@ class MACEngine:
             )
         new_prep = _PreparedFilter(
             query_distance=prep.query_distance,
-            filtered=prep.filtered.toggled(u, v),
             flat=flat,
             core_rows=core_rows,
         )
@@ -767,12 +763,11 @@ class MACEngine:
                 request.query, request.t, use_gtree=use_gtree
             )
             filtered = self.network.social.graph.subgraph(dq)
-            flat = FlatGraph.from_adjacency(filtered)
+            flat = FlatGraph.from_adjacency(filtered)  # the entry keeps only this
             core_rows = core_numbers(flat)
             times["filter"] = time.perf_counter() - start
             return _PreparedFilter(
                 query_distance=dq,
-                filtered=filtered,
                 flat=flat,
                 core_rows=core_rows,
             )
@@ -786,7 +781,7 @@ class MACEngine:
     def _extract_core(
         self, prep: _PreparedFilter, request: MACRequest
     ) -> KTCore | None:
-        """H^t_k from prepared filter state (Lemma 2/3 on its CSR rows)."""
+        """H^t_k cut from prepared filter state (Lemma 2/3 on its CSR rows)."""
         flat = prep.flat
         if any(q not in flat for q in request.query):
             return None
@@ -795,7 +790,7 @@ class MACEngine:
         )
         if comp is None:
             return None
-        graph = prep.filtered.subgraph(flat.select_ids(comp))
+        graph = flat.to_adjacency(comp)
         return KTCore(
             graph=graph,
             query_distance={

@@ -137,31 +137,6 @@ class AdjacencyGraph:
         g._num_edges = self._num_edges
         return g
 
-    def toggled(self, u: Vertex, v: Vertex) -> AdjacencyGraph:
-        """Copy with edge ``(u, v)`` added if absent, removed if present.
-
-        Structural sharing: only the two endpoints get fresh adjacency
-        sets, every other set is shared with ``self``, so the copy costs
-        O(|V|) pointer copies plus two endpoint sets instead of a deep
-        copy.  Sound only while neither graph is mutated in place
-        afterwards (``copy()`` or ``subgraph()`` first).
-        """
-        if u == v:
-            raise GraphError(f"self-loop on {u!r} not allowed")
-        g = AdjacencyGraph()
-        g._adj = dict(self._adj)
-        a = g._adj[u] = set(self._adj.get(u, ()))
-        b = g._adj[v] = set(self._adj.get(v, ()))
-        if v in a:
-            a.remove(v)
-            b.remove(u)
-            g._num_edges = self._num_edges - 1
-        else:
-            a.add(v)
-            b.add(u)
-            g._num_edges = self._num_edges + 1
-        return g
-
     def subgraph(self, keep: Iterable[Vertex]) -> AdjacencyGraph:
         """Induced subgraph on ``keep`` (vertices absent from self ignored)."""
         keep_set = {v for v in keep if v in self._adj}

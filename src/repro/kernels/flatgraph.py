@@ -239,6 +239,35 @@ class FlatGraph:
             fg._ids_arr = ids_arr  # sorted ids: keep the bisection path
         return fg
 
+    def to_adjacency(self, mask: np.ndarray | None = None):
+        """The :class:`~repro.graph.adjacency.AdjacencyGraph` induced by
+        the rows a boolean ``mask`` selects (every row when ``None``):
+        one ragged gather, then one neighbor set per kept row."""
+        # Imported here: repro.graph imports repro.kernels.
+        from repro.graph.adjacency import AdjacencyGraph
+
+        rows = np.arange(self.n) if mask is None else np.flatnonzero(mask)
+        offsets, counts = ragged_offsets(self.indptr, rows)
+        nbrs = self.indices[offsets]
+        if mask is not None and nbrs.size:
+            keep = mask[nbrs]
+            nbrs = nbrs[keep]
+            owner = np.repeat(np.arange(rows.size), counts)
+            counts = np.bincount(owner[keep], minlength=rows.size)
+        ids = self._ids_arr
+        if ids is None:  # unsorted or non-int ids: gather the objects
+            ids = np.empty(self.n, object)
+            ids[:] = self.ids
+        nbr_ids = ids[nbrs].tolist()
+        ends = np.cumsum(counts)
+        bounds = zip((ends - counts).tolist(), ends.tolist())
+        graph = AdjacencyGraph()
+        graph._adj = {
+            v: set(nbr_ids[lo:hi]) for v, (lo, hi) in zip(ids[rows].tolist(), bounds)
+        }
+        graph._num_edges = len(nbr_ids) // 2
+        return graph
+
     # ------------------------------------------------------------------
     # id ↔ row mapping
     # ------------------------------------------------------------------

@@ -50,7 +50,6 @@ import repro
 from repro.dominance.graph import DominanceGraph
 from repro.errors import ReproError, SnapshotError
 from repro.geometry.region import PreferenceRegion
-from repro.graph.adjacency import AdjacencyGraph
 from repro.kernels.flatgraph import FlatGraph
 from repro.road.gtree import GTree
 from repro.social.roadsocial import KTCore, RoadSocialNetwork
@@ -64,7 +63,8 @@ from repro.store.fingerprint import (
 #: v2: stage-cache keys and the manifest carry no compute backend.
 #: v3: the manifest fingerprint is the ``mset256:`` multiset digest.
 #: v4: every filter entry stores its CSR view and per-row coreness.
-FORMAT_VERSION = 4
+#: v5: every graph is stored as CSR arrays only (no edge lists).
+FORMAT_VERSION = 5
 
 FORMAT_NAME = "repro-index-snapshot"
 
@@ -76,7 +76,10 @@ DELTAS_FILE = "deltas.jsonl"
 DELTA_VERSION = 1
 
 #: The arrays of filter entry ``i``, stored as ``filter.<i>.<name>``.
-_FILTER_ARRAYS = ("ids", "dist", "coreness", "edges", "flat_indptr", "flat_indices")
+_FILTER_ARRAYS = ("ids", "dist", "coreness", "flat_indptr", "flat_indices")
+
+#: The arrays of feasible core entry ``i``, stored as ``core.<i>.<name>``.
+_CORE_ARRAYS = ("ids", "indptr", "indices", "dist")
 
 _CORRUPTION_ERRORS = (
     zipfile.BadZipFile,
@@ -90,27 +93,6 @@ _CORRUPTION_ERRORS = (
 # ----------------------------------------------------------------------
 # small codecs
 # ----------------------------------------------------------------------
-def _graph_arrays(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray]:
-    """An AdjacencyGraph as (sorted vertex ids, (m, 2) edge array)."""
-    verts = np.asarray(sorted(graph.vertices()), np.int64)
-    edges = np.asarray(
-        sorted((u, v) if u <= v else (v, u) for u, v in graph.edges()),
-        np.int64,
-    ).reshape(-1, 2)
-    return verts, edges
-
-
-def _graph_from_arrays(
-    verts: np.ndarray, edges: np.ndarray
-) -> AdjacencyGraph:
-    graph = AdjacencyGraph()
-    for v in verts.tolist():
-        graph.add_vertex(v)
-    for u, v in edges.tolist():
-        graph.add_edge(u, v)
-    return graph
-
-
 def _filter_key_json(key: tuple) -> dict:
     query, t = key
     return {"query": list(query), "t": t}
@@ -225,8 +207,6 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
             [prep.query_distance[v] for v in ids], np.float64
         )
         arrays[f"filter.{i}.coreness"] = np.asarray(prep.core_rows, np.int64)
-        _verts, edges = _graph_arrays(prep.filtered)
-        arrays[f"filter.{i}.edges"] = edges
         arrays[f"filter.{i}.flat_indptr"] = prep.flat.indptr
         arrays[f"filter.{i}.flat_indices"] = prep.flat.indices
         entry = _filter_key_json(key)
@@ -239,14 +219,14 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
         entry = _core_key_json(key)
         entry["feasible"] = state.core is not None
         if state.core is not None:
-            verts, edges = _graph_arrays(state.core.graph)
-            arrays[f"core.{i}.vertices"] = verts
-            arrays[f"core.{i}.edges"] = edges
-            arrays[f"core.{i}.dist"] = np.asarray(
-                [state.core.query_distance[v] for v in verts.tolist()],
-                np.float64,
+            csr = FlatGraph.from_adjacency(state.core.graph).to_arrays()
+            dist = state.core.query_distance
+            csr["dist"] = np.asarray(
+                [dist[v] for v in csr["ids"].tolist()], np.float64
             )
-            entry["vertices"] = int(verts.size)
+            for name in _CORE_ARRAYS:
+                arrays[f"core.{i}.{name}"] = csr[name]
+            entry["vertices"] = int(csr["ids"].size)
         core_entries.append(entry)
     components["core"] = core_entries
 
@@ -580,9 +560,7 @@ def _expected_keys(manifest: dict) -> list[str]:
         keys += [f"filter.{i}.{name}" for name in _FILTER_ARRAYS]
     for i, entry in enumerate(comp.get("core", [])):
         if entry.get("feasible"):
-            keys += [
-                f"core.{i}.vertices", f"core.{i}.edges", f"core.{i}.dist",
-            ]
+            keys += [f"core.{i}.{name}" for name in _CORE_ARRAYS]
     for i in range(len(comp.get("dominance", []))):
         keys += [
             f"dominance.{i}.order", f"dominance.{i}.parent_ptr",
@@ -616,14 +594,17 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
     ``telemetry().stage_seconds`` and the per-result ``timings`` report
     as exact zeros.
 
+    Graphs are stored as CSR arrays only: filter entries get no
+    adjacency sets; each core's H^t_k is cut by ``FlatGraph.to_adjacency``.
+
     With ``mmap=True``, arrays stored uncompressed (``save_snapshot``
     with ``compress=False``) are opened as read-only ``np.memmap``
     views instead of copies, so the CSR payloads (road/filter flat
     graphs and their coreness rows) stay file-backed and page-shared
     across processes.  State rebuilt into Python objects (G-tree node
-    maps, adjacency sets, dominance DAGs) is materialized either way —
-    the worker tier shares those via fork copy-on-write.  Compressed
-    members silently fall back to a normal read.
+    maps, H^t_k adjacency sets, dominance DAGs) is materialized either
+    way — the worker tier shares those via fork copy-on-write.
+    Compressed members silently fall back to a normal read.
     """
     from repro.engine.engine import (
         MACEngine,
@@ -693,7 +674,6 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
             key = _filter_key_from_json(entry)
             ids = _get(npz, f"filter.{i}.ids")
             dist = _get(npz, f"filter.{i}.dist")
-            filtered = _graph_from_arrays(ids, _get(npz, f"filter.{i}.edges"))
             flat = FlatGraph.from_arrays(
                 _get(npz, f"filter.{i}.flat_indptr"),
                 _get(npz, f"filter.{i}.flat_indices"),
@@ -701,7 +681,6 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
             )
             engine._filter_cache.put(key, _PreparedFilter(
                 query_distance=dict(zip(ids.tolist(), dist.tolist())),
-                filtered=filtered,
                 flat=flat,
                 core_rows=_get(npz, f"filter.{i}.coreness").astype(
                     np.int64, copy=False
@@ -713,14 +692,19 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
             if not entry.get("feasible"):
                 engine._core_cache.put(key, _PreparedCore(None, None))
                 continue
-            verts = _get(npz, f"core.{i}.vertices")
-            graph = _graph_from_arrays(verts, _get(npz, f"core.{i}.edges"))
+            ids = _get(npz, f"core.{i}.ids")
+            graph = FlatGraph.from_arrays(
+                _get(npz, f"core.{i}.indptr"),
+                _get(npz, f"core.{i}.indices"),
+                ids,
+            ).to_adjacency()
             dist = _get(npz, f"core.{i}.dist")
+            verts = ids.tolist()
             core = KTCore(
                 graph=graph,
-                query_distance=dict(zip(verts.tolist(), dist.tolist())),
+                query_distance=dict(zip(verts, dist.tolist())),
             )
-            attrs = network.social.attributes_for(verts.tolist())
+            attrs = network.social.attributes_for(verts)
             engine._core_cache.put(key, _PreparedCore(core, attrs))
 
         for i, entry in enumerate(comp.get("dominance", [])):

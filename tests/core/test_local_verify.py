@@ -121,6 +121,16 @@ def test_closure_matches_the_sweeps(setup, data):
 
 @settings(max_examples=60, deadline=None)
 @given(setups)
+def test_hasse_leaves_are_the_leaves_over_htk(setup):
+    htk, gd, _query, _k, _region = setup
+    everyone = set(htk.vertices())
+    assert set(gd.vertices()) == everyone  # the searchers' precondition
+    assert gd.leaves() == leaves_within(gd, everyone)
+    assert gd.leaves() == gd.leaves_within(everyone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setups)
 def test_local_checks_match_the_probes(setup):
     htk, gd, query, k, region = setup
     ls = LocalSearch(htk, gd, query, k, region)

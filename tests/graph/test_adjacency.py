@@ -104,28 +104,6 @@ class TestDerived:
         s = g.subgraph([1, 2, 99])
         assert set(s.vertices()) == {1, 2}
 
-    def test_toggled_adds_and_removes_leaving_self_untouched(self):
-        g = AdjacencyGraph([(1, 2), (2, 3), (3, 4)])
-        added = g.toggled(1, 3)
-        assert added.has_edge(1, 3) and added.num_edges == 4
-        removed = added.toggled(2, 3)
-        assert not removed.has_edge(2, 3) and removed.num_edges == 3
-        assert added.has_edge(2, 3)
-        assert not g.has_edge(1, 3) and g.num_edges == 3
-        assert g.neighbors(1) == {2} and g.neighbors(3) == {2, 4}
-
-    def test_toggled_shares_all_but_the_endpoint_sets(self):
-        g = AdjacencyGraph([(1, 2), (2, 3), (3, 4)])
-        h = g.toggled(1, 3)
-        assert h.neighbors(2) is g.neighbors(2)
-        assert h.neighbors(4) is g.neighbors(4)
-        assert h.neighbors(1) is not g.neighbors(1)
-        assert h.neighbors(3) is not g.neighbors(3)
-
-    def test_toggled_rejects_self_loop(self):
-        with pytest.raises(GraphError):
-            AdjacencyGraph([(1, 2)]).toggled(1, 1)
-
 
 class TestTraversal:
     def test_component_of(self):

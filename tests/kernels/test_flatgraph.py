@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import paper_road, random_graph
 from repro.errors import GraphError
@@ -66,6 +68,82 @@ class TestFromAdjacency:
         assert fg.relabel(values) == {
             fg.id_of(r): r for r in range(fg.n)
         }
+
+
+def adjacency(graph) -> dict:
+    return {v: graph.neighbors(v) for v in graph.vertices()}
+
+
+def assert_cut_equals_subgraph(fg, graph, mask) -> None:
+    cut = fg.to_adjacency(mask)
+    keep = fg.ids if mask is None else fg.select_ids(mask)
+    expected = graph.subgraph(keep)
+    assert adjacency(cut) == adjacency(expected)
+    assert cut.num_edges == expected.num_edges
+
+
+class TestToAdjacency:
+    """The CSR → adjacency cut equals ``AdjacencyGraph.subgraph``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 30),
+        st.sampled_from([0.0, 0.05, 0.15, 0.4]),
+        st.integers(0, 10_000),
+        st.sampled_from([1, 7]),
+        st.data(),
+    )
+    def test_random_masks_match_subgraph(self, n, p, seed, stride, data):
+        base = random_graph(n, p, seed=seed)  # isolated rows included
+        graph = AdjacencyGraph()
+        for v in base.vertices():
+            graph.add_vertex(v * stride + 3)
+        for u, v in base.edges():
+            graph.add_edge(u * stride + 3, v * stride + 3)
+        fg = FlatGraph.from_adjacency(graph)
+        picks = data.draw(st.lists(st.booleans(), min_size=fg.n, max_size=fg.n))
+        mask = np.asarray(picks, bool)
+        assert_cut_equals_subgraph(fg, graph, mask)
+        assert_cut_equals_subgraph(fg, graph, None)
+        assert_cut_equals_subgraph(fg, graph, np.zeros(fg.n, bool))
+
+    def test_zero_row_csr(self):
+        fg = FlatGraph.from_adjacency(AdjacencyGraph())
+        for mask in (None, np.zeros(0, bool)):
+            cut = fg.to_adjacency(mask)
+            assert cut.num_vertices == 0 and cut.num_edges == 0
+
+    def test_unsorted_and_non_int_ids(self):
+        graph = AdjacencyGraph([(9, 2), (2, 5), (5, 9), (5, 1)])
+        fg = FlatGraph.from_arrays(
+            **FlatGraph.from_adjacency(graph).to_arrays()
+        )
+        order = [2, 0, 3, 1]  # unsorted ids take the object gather
+        ids = np.asarray(fg.ids)[order]
+        inv = np.argsort(order)
+        nbrs = [inv[fg.neighbor_rows(r)] for r in order]
+        indptr = np.zeros(5, np.int64)
+        np.cumsum([len(x) for x in nbrs], out=indptr[1:])
+        shuffled = FlatGraph.from_arrays(indptr, np.concatenate(nbrs), ids)
+        mask = np.asarray([v != 1 for v in ids.tolist()])
+        assert_cut_equals_subgraph(shuffled, graph, mask)
+        named = AdjacencyGraph([("a", "b"), ("b", "c")])
+        fg = FlatGraph.from_adjacency(named)
+        mask = np.asarray([v != "c" for v in fg.ids])
+        assert_cut_equals_subgraph(fg, named, mask)
+
+    def test_memmapped_arrays(self, tmp_path):
+        graph = random_graph(40, 0.1, seed=11)
+        arrays = FlatGraph.from_adjacency(graph).to_arrays()
+        mapped = {}
+        for name, arr in arrays.items():
+            np.save(tmp_path / f"{name}.npy", arr)
+            mapped[name] = np.load(tmp_path / f"{name}.npy", mmap_mode="r")
+        fg = FlatGraph.from_arrays(**mapped)
+        assert not fg.indices.flags.writeable  # a view of the mapping
+        mask = np.asarray(core_numbers(fg) >= 2)
+        assert_cut_equals_subgraph(fg, graph, mask)
+        assert_cut_equals_subgraph(fg, graph, None)
 
 
 class TestFromEdges:

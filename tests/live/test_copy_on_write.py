@@ -1,18 +1,19 @@
-"""Copy-on-write filter repair under structural sharing.
+"""Copy-on-write filter repair.
 
-A repaired (Q, t) filter entry shares every adjacency set but the two
-endpoints' with the entry it replaces.  After long runs of add/remove
-toggles of the same edge and of edges sharing an endpoint, every entry
-a query could still hold must read exactly as it did when it was
-cached, and every repaired entry must equal the deep-copy-then-toggle
-reference with a from-scratch coreness (the reference BZ of
-``tests/oracles/kcore.py``).
+A repaired (Q, t) filter entry holds the new CSR and coreness arrays
+the repair kernels return; the entry it replaces keeps its own.  After
+long runs of add/remove toggles of the same edge and of edges sharing
+an endpoint, every entry a query could still hold must read exactly as
+it did when it was cached, and every repaired entry must equal the
+old entry's CSR adjacency with (u, v) toggled, with a from-scratch
+coreness (the reference BZ of ``tests/oracles/kcore.py``).
 """
 
 import numpy as np
 
 from repro import MACEngine, MACRequest, PreferenceRegion
 from repro.live import add_social_edge, remove_social_edge
+from repro.graph.adjacency import AdjacencyGraph
 from repro.road.network import SpatialPoint
 from repro.social.network import SocialNetwork
 from repro.social.roadsocial import RoadSocialNetwork
@@ -34,10 +35,6 @@ def make_network() -> RoadSocialNetwork:
     )
 
 
-def adjacency(graph) -> dict:
-    return {v: frozenset(graph.neighbors(v)) for v in graph.vertices()}
-
-
 def flat_adjacency(flat) -> dict:
     ids = np.asarray(flat.ids)
     adj = {}
@@ -50,8 +47,7 @@ def flat_adjacency(flat) -> dict:
 def frozen(prep) -> tuple:
     """Everything a held entry exposes, copied out."""
     return (
-        adjacency(prep.filtered),
-        prep.filtered.num_edges,
+        flat_adjacency(prep.flat),
         prep.max_coreness,
         prep.flat.indptr.copy(),
         prep.flat.indices.copy(),
@@ -61,9 +57,8 @@ def frozen(prep) -> tuple:
 
 
 def assert_unchanged(prep, snapshot) -> None:
-    adj, num_edges, max_coreness, indptr, indices, ids, core_rows = snapshot
-    assert adjacency(prep.filtered) == adj
-    assert prep.filtered.num_edges == num_edges
+    adj, max_coreness, indptr, indices, ids, core_rows = snapshot
+    assert flat_adjacency(prep.flat) == adj
     assert prep.max_coreness == max_coreness
     assert np.array_equal(prep.flat.indptr, indptr)
     assert np.array_equal(prep.flat.indices, indices)
@@ -72,18 +67,23 @@ def assert_unchanged(prep, snapshot) -> None:
 
 
 def assert_repaired(new, old, u, v) -> None:
-    """``new`` equals a deep copy of ``old`` with (u, v) toggled."""
-    reference = old.filtered.copy()
+    """``new`` equals ``old``'s CSR adjacency with (u, v) toggled."""
+    reference = AdjacencyGraph()
+    for w, nbrs in flat_adjacency(old.flat).items():
+        reference.add_vertex(w)
+        for x in nbrs:
+            reference.add_edge(w, x)
     if u in reference and v in reference:
         if reference.has_edge(u, v):
             reference.remove_edge(u, v)
         else:
             reference.add_edge(u, v)
-    assert adjacency(new.filtered) == adjacency(reference)
-    assert new.filtered.num_edges == reference.num_edges
     expected = core_decomposition(reference)
     assert new.max_coreness == max(expected.values(), default=0)
-    assert flat_adjacency(new.flat) == adjacency(reference)
+    assert flat_adjacency(new.flat) == {
+        w: frozenset(reference.neighbors(w)) for w in reference.vertices()
+    }
+    assert new.flat.num_edges == reference.num_edges
     assert new.flat.relabel(new.core_rows) == expected
 
 

@@ -140,6 +140,39 @@ class TestRoundTrip:
         stage = loaded.telemetry().stage_seconds
         assert stage["filter"] == stage["core"] == 0.0
 
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_every_core_round_trips_through_its_csr(
+        self, tmp_path, region, compress
+    ):
+        engine = MACEngine(make_network())
+        for query, k, t in [
+            ((2, 3, 6), 3, 9.0),
+            ((2, 3, 6), 2, 30.0),
+            ((1, 4), 2, 12.0),
+            ((7,), 1, 60.0),
+            ((2, 3, 6), 9, 9.0),  # infeasible
+        ]:
+            engine.search(MACRequest.make(query, k, t, region))
+        path = tmp_path / "snap"
+        engine.save(path, compress=compress)
+        loaded = MACEngine.load(path, make_network(), mmap=True)
+        saved = dict(engine._core_cache.items())
+        restored = dict(loaded._core_cache.items())
+        assert restored.keys() == saved.keys()
+        assert sum(s.core is not None for s in saved.values()) >= 3
+        for key, state in saved.items():
+            got = restored[key]
+            if state.core is None:
+                assert got.core is None
+                continue
+            graph, want = got.core.graph, state.core.graph
+            got_adj = {v: graph.neighbors(v) for v in graph.vertices()}
+            want_adj = {v: want.neighbors(v) for v in want.vertices()}
+            assert got_adj == want_adj
+            assert graph.num_edges == want.num_edges
+            assert got.core.query_distance == state.core.query_distance
+            assert got.search_flat is None  # still built on first search
+
     def test_engine_config_restored_and_overridable(
         self, tmp_path, request_
     ):
@@ -234,6 +267,19 @@ class TestFailureModes:
         manifest["format_version"] = 3
         for entry in manifest["components"]["filter"]:
             entry["has_flat"] = False
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="rebuild"):
+            MACEngine.load(path, make_network())
+        with pytest.raises(SnapshotError, match="rebuild"):
+            verify_snapshot(path)
+
+    def test_format_4_snapshot_asks_for_a_rebuild(self, tmp_path, request_):
+        # Format 4 stored filter entries' edges beside their CSR and
+        # H^t_k as an edge list (``core.<i>.vertices``/``edges``); this
+        # build reads only CSR arrays, so it is refused, never misread.
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 4
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="rebuild"):
             MACEngine.load(path, make_network())
