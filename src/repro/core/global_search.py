@@ -31,6 +31,7 @@ from repro.geometry.cell import Cell
 from repro.geometry.partition_tree import PartitionTree
 from repro.geometry.region import PreferenceRegion
 from repro.graph.adjacency import AdjacencyGraph
+from repro.kernels.backend import gs_path
 from repro.kernels.flatgraph import FlatGraph
 from repro.kernels.search import (
     alive_degrees,
@@ -38,8 +39,8 @@ from repro.kernels.search import (
     restrict_rows_incremental,
 )
 from repro.core.peeling import (
+    Removal,
     cascade_delete_recoverable,
-    restore_removed,
     restrict_after_removal,
 )
 from repro.core.query import Community, PartitionEntry
@@ -60,16 +61,19 @@ class SearchStats:
 class GlobalSearch:
     """Algorithm 1 over a prepared H^t_k and its r-dominance graph.
 
-    ``htk`` must be connected and contain Q, as H^t_k (and the maximal
+    ``graph`` is H^t_k as a row-sorted CSR
+    (:meth:`FlatGraph.sorted_subgraph`, or
+    :func:`~repro.kernels.search.search_flatgraph` of a dict graph).  It
+    must be connected and contain Q, as H^t_k (and the maximal
     connected k-truss of the truss variant) is: both peel loops restrict
     to Q's component incrementally, from the vertices each cascade
-    removed.  ``gd`` must span exactly ``htk``'s vertices: its Hasse
+    removed.  ``gd`` must span exactly ``graph``'s vertices: its Hasse
     leaves (:meth:`DominanceGraph.leaves`) are the first task's leaves.
     """
 
     def __init__(
         self,
-        htk: AdjacencyGraph,
+        graph: FlatGraph,
         gd: DominanceGraph,
         query: Iterable[int],
         k: int,
@@ -78,12 +82,11 @@ class GlobalSearch:
         refinement: str = "arrangement",
         time_budget: float | None = None,
         deadline: Deadline | None = None,
-        flat: FlatGraph | None = None,
         anytime: bool = False,
     ) -> None:
         if refinement not in ("arrangement", "envelope"):
             raise QueryError(f"unknown refinement {refinement!r}")
-        self.htk = htk
+        self.flat = graph
         self.gd = gd
         self.query = tuple(sorted(set(query)))
         self.query_set = set(self.query)
@@ -105,16 +108,6 @@ class GlobalSearch:
         #: every task and peeling round — this is what tames GS-T's
         #: partition explosion into a typed, bounded failure.
         self.deadline = deadline
-        #: Optional CSR view of ``htk`` (same vertex set).  When given,
-        #: the per-task peeling runs over int row arrays with batch
-        #: degree updates instead of dict subgraph copies — the "flat"
-        #: search backend.  Subclasses that override :meth:`_cascade`
-        #: for other cohesiveness metrics (e.g. the k-truss extension)
-        #: simply never pass it and keep the reference path.
-        self.flat = flat
-        self._qrows: list[int] = [] if flat is None else flat.rows_of(
-            self.query
-        )
         #: Anytime mode: on deadline expiry, the in-progress and queued
         #: tasks are flushed as best-so-far results instead of raising.
         #: Their alive sets are feasible (connected k-cores ⊇ Q for the
@@ -248,10 +241,39 @@ class GlobalSearch:
     def _smallest_leaf(self, leaves: Iterable[int], w: np.ndarray) -> int:
         return min(leaves, key=lambda v: (self.gd.score_at(v, w), v))
 
-    def _cascade(self, graph: AdjacencyGraph, trigger: int):
+    def _loop(self) -> str:
+        """``"flat"`` (row masks, batch degree updates) or ``"python"``
+        (a per-task dict graph peeled by :meth:`_cascade`), by the size
+        rule; a subclass overriding :meth:`_cascade` pins ``"python"``."""
+        return gs_path(self.flat.n)
+
+    def _cascade(self, graph: AdjacencyGraph, trigger: int) -> Removal:
         """Structural cascade after deleting ``trigger`` (override point
         for other cohesiveness metrics, e.g. the k-truss extension)."""
         return cascade_delete_recoverable(graph, trigger, self.k)
+
+    def _working_graph(self, alive: frozenset[int]) -> AdjacencyGraph:
+        """The dict graph of the set loop: H^t_k[alive], labelled by row.
+
+        Built from the CSR's cached lists; cascades and the component
+        restriction are order-independent fixpoints, so row labels give
+        the same answers as id labels.
+        """
+        fg = self.flat
+        indptr, indices, _weights = fg.lists()
+        graph = AdjacencyGraph()
+        if len(alive) == fg.n:
+            graph._adj = {
+                r: set(indices[indptr[r]:indptr[r + 1]]) for r in range(fg.n)
+            }
+        else:
+            rows = set(map(fg.row_map.__getitem__, alive))
+            graph._adj = {
+                r: rows.intersection(indices[indptr[r]:indptr[r + 1]])
+                for r in rows
+            }
+        graph._num_edges = sum(map(len, graph._adj.values())) // 2
+        return graph
 
     def _drain_partial(self, results, queue, current) -> None:
         """Anytime expiry: flush current + queued tasks as best-so-far."""
@@ -265,9 +287,13 @@ class GlobalSearch:
     # ------------------------------------------------------------------
     def run(self) -> list[tuple[Cell, frozenset[int], tuple[frozenset[int], ...]]]:
         """Execute the search; returns (cell, final alive set, batches)."""
-        alive0 = frozenset(self.htk.vertices())
+        fg = self.flat
+        alive0 = frozenset(fg.ids)
         if not self.query_set <= alive0:
             raise QueryError("query vertices missing from H^t_k")
+        row, ids = fg.row_map, fg.ids
+        qrows = [row[q] for q in self.query]
+        flat_loop = self._loop() == "flat"
         leaves0 = frozenset(self.gd.leaves())
         root = Cell.from_region(self.region)
         results: list[
@@ -301,7 +327,7 @@ class GlobalSearch:
                     f"({self.time_budget}s)"
                 )
             graph = None  # built lazily: split-only tasks never peel
-            mask = None  # flat backend: lazy alive mask + degree array
+            mask = None  # flat loop: lazy alive mask + degree array
             deg = None
             dominated: set[tuple[int, int]] = set()
             w = cell.interior_point()  # the cell is fixed within a task
@@ -345,50 +371,36 @@ class GlobalSearch:
                     results.append((cell, alive, batches))
                     break
                 self.stats.peel_rounds += 1
-                if self.flat is not None:
-                    # Flat path: batch cascade + component restriction
-                    # over row masks.  On the Corollary-1 breaks the
-                    # mutated mask is simply discarded (the reference
-                    # path restores its subgraph only to break too).
-                    fg = self.flat
+                if flat_loop:
+                    # Batch cascade + component restriction over row
+                    # masks.  On the Corollary-1 breaks the mutated mask
+                    # is simply discarded, as the set loop's graph is.
                     if mask is None:
                         mask = np.zeros(fg.n, bool)
                         mask[fg.rows_of(alive)] = True
                         deg = alive_degrees(fg, mask)
-                    removed_rows = cascade_rows(
-                        fg, deg, mask, fg.row_of(u), self.k
-                    )
-                    ids = fg.ids
-                    deleted = {ids[i] for i in removed_rows.tolist()}
-                    if deleted & self.query_set:
-                        results.append((cell, alive, batches))
-                        break
-                    dropped_rows = restrict_rows_incremental(
-                        fg, mask, self._qrows, removed_rows
-                    )
-                    if dropped_rows is None:
-                        results.append((cell, alive, batches))
-                        break
-                    batch = frozenset(
-                        deleted | {ids[i] for i in dropped_rows.tolist()}
-                    )
+                    removed_rows = cascade_rows(fg, deg, mask, row[u], self.k)
+                    removed = removed_rows.tolist()
                 else:
                     if graph is None:
-                        graph = self.htk.subgraph(alive)
-                    removed = self._cascade(graph, u)
-                    deleted = {v for v, _nbrs in removed}
-                    if deleted & self.query_set:
-                        results.append((cell, alive, batches))
-                        restore_removed(graph, removed)
-                        break
-                    dropped = restrict_after_removal(
-                        graph, self.query, removed
+                        graph = self._working_graph(alive)
+                    log = self._cascade(graph, row[u])
+                    removed = [r for r, _nbrs in log]
+                deleted = {ids[r] for r in removed}
+                if deleted & self.query_set:
+                    results.append((cell, alive, batches))
+                    break
+                if flat_loop:
+                    dropped = restrict_rows_incremental(
+                        fg, mask, qrows, removed_rows
                     )
-                    if dropped is None:
-                        results.append((cell, alive, batches))
-                        restore_removed(graph, removed)
-                        break
-                    batch = frozenset(deleted | dropped)
+                    dropped = None if dropped is None else dropped.tolist()
+                else:
+                    dropped = restrict_after_removal(graph, qrows, log)
+                if dropped is None:
+                    results.append((cell, alive, batches))
+                    break
+                batch = frozenset(deleted.union(ids[r] for r in dropped))
                 alive = alive - batch
                 batches = batches + (batch,)
                 leaves = self._updated_leaves(leaves, batch, alive, mask)

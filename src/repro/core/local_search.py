@@ -40,19 +40,17 @@ from repro.errors import QueryError
 from repro.geometry.cell import Cell
 from repro.geometry.partition_tree import PartitionTree
 from repro.geometry.region import PreferenceRegion
-from repro.graph.adjacency import AdjacencyGraph
 from repro.kernels.flatgraph import FlatGraph
 from repro.kernels.search import (
     alive_degrees,
     cascade_rows,
+    deletion_chain_rows,
     prefix_communities,
     prefix_entry_sizes,
     prefix_sets_agree,
     query_side,
-    search_flatgraph,
 )
 from repro.core.global_search import SearchStats
-from repro.core.peeling import deletion_chain
 from repro.core.query import Community, PartitionEntry
 
 #: Eq. 3 / Eq. 4 constants, as used in the paper's experiments.
@@ -84,7 +82,7 @@ class _UnionFind:
 
 
 def expand(
-    htk: AdjacencyGraph,
+    graph: FlatGraph,
     gd: DominanceGraph,
     query: Iterable[int],
     k: int,
@@ -92,7 +90,6 @@ def expand(
     max_candidates: int = 24,
     max_vertices: int | None = None,
     deadline: Deadline | None = None,
-    flat: FlatGraph | None = None,
     anytime: bool = False,
 ) -> list[frozenset[int]]:
     """Algorithm 4: candidate communities around Q, smallest first.
@@ -102,11 +99,10 @@ def expand(
     a push-style best-first queue (the Andersen et al. PPR-push idiom):
     adding a member *pushes* priority increments to its neighbors instead
     of recomputing scores from scratch, so good communities surface
-    early.  The loop runs over ``flat``, a row-sorted
-    :func:`~repro.kernels.search.search_flatgraph` view of ``htk`` (built
-    here when not given).  With ``anytime`` set, deadline expiry stops
-    the expansion and returns the candidates found so far instead of
-    raising.
+    early.  The loop runs over ``graph``, H^t_k as a row-sorted CSR
+    (:meth:`FlatGraph.sorted_subgraph`).  With ``anytime`` set, deadline
+    expiry stops the expansion and returns the candidates found so far
+    instead of raising.
 
     ``gain[r]`` (member neighbors of row r) is maintained incrementally
     by one increment per pushed edge, so a priority read is O(1) for
@@ -124,7 +120,7 @@ def expand(
     """
     if strategy not in ("eq3", "eq4"):
         raise QueryError(f"unknown expand strategy {strategy!r}")
-    fg = flat if flat is not None else search_flatgraph(htk)
+    fg = graph
     q = sorted(set(query))
     n = fg.n
     indptr, indices, _weights = fg.lists()
@@ -248,14 +244,18 @@ def expand(
 class LocalSearch:
     """Algorithms 3-5 over a prepared H^t_k and its r-dominance graph.
 
-    ``htk`` must be a connected k-core containing Q, as H^t_k is: every
-    candidate the search verifies then is one too.  ``gd`` must span
-    exactly ``htk``'s vertices: its Hasse leaves are H^t_k's leaves.
+    ``graph`` is H^t_k as a row-sorted CSR
+    (:meth:`FlatGraph.sorted_subgraph`, or
+    :func:`~repro.kernels.search.search_flatgraph` of a dict graph) that
+    expand, the probes and the certifications run over.  It must be a
+    connected k-core containing Q, as H^t_k is: every candidate the
+    search verifies then is one too.  ``gd`` must span exactly
+    ``graph``'s vertices: its Hasse leaves are H^t_k's leaves.
     """
 
     def __init__(
         self,
-        htk: AdjacencyGraph,
+        graph: FlatGraph,
         gd: DominanceGraph,
         query: Iterable[int],
         k: int,
@@ -264,12 +264,11 @@ class LocalSearch:
         max_candidates: int = 24,
         certification: str = "fast",
         deadline: Deadline | None = None,
-        flat: FlatGraph | None = None,
         anytime: bool = False,
     ) -> None:
         if certification not in ("fast", "chain"):
             raise QueryError(f"unknown certification {certification!r}")
-        self.htk = htk
+        self.flat = graph
         self.gd = gd
         self.query = tuple(sorted(set(query)))
         self.query_set = set(self.query)
@@ -286,9 +285,6 @@ class LocalSearch:
         #: Checked per expand step, per threshold probe, and per
         #: candidate verification.
         self.deadline = deadline
-        #: Row-sorted CSR view of ``htk`` that expand, the probes and the
-        #: certifications run over; the engine passes its cached one.
-        self.flat = flat if flat is not None else search_flatgraph(htk)
         self._qrows: list[int] = self.flat.rows_of(self.query)
         #: Anytime mode: deadline expiry stops the search and returns
         #: the certified entries found so far (``partial`` set) instead
@@ -435,8 +431,8 @@ class LocalSearch:
         """Exact full-graph chain at the cell's interior point."""
         w = cell.interior_point()
         scores = {v: self.gd.score_at(v, w) for v in self._all}
-        chain, _batches = deletion_chain(
-            self.htk, self.query, self.k, scores, flat=self.flat
+        chain, _batches = deletion_chain_rows(
+            self.flat, self.query, self.k, scores
         )
         return frozenset(chain[-1]) == members
 
@@ -568,14 +564,13 @@ class LocalSearch:
 
     def _expand(self) -> list[frozenset[int]]:
         return expand(
-            self.htk,
+            self.flat,
             self.gd,
             self.query,
             self.k,
             strategy=self.strategy,
             max_candidates=self.max_candidates,
             deadline=self.deadline,
-            flat=self.flat,
             anytime=self.anytime,
         )
 
@@ -673,9 +668,8 @@ class LocalSearch:
                     continue
                 w = cell.interior_point()
                 scores = {v: self.gd.score_at(v, w) for v in self._all}
-                chain, _batches = deletion_chain(
-                    self.htk, self.query, self.k, scores,
-                    max_batches=j - 1, flat=self.flat,
+                chain, _batches = deletion_chain_rows(
+                    self.flat, self.query, self.k, scores, max_batches=j - 1
                 )
                 communities = [
                     Community(c) for c in reversed(chain[-j:])

@@ -7,8 +7,8 @@ restrict to the query component — exactly the DFS procedure of
 Algorithm 1 with a one-cell arrangement.  Each surviving snapshot is an
 MAC (Lemma 5), the last one the non-contained MAC (Lemma 6).
 
-Used as: ground-truth oracle in tests, certification step of the local
-search's Verify, and chain reconstruction for the top-j problems.
+Used as the ground-truth oracle in tests; the local search peels the
+same chain on CSR rows (:func:`repro.kernels.search.deletion_chain_rows`).
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ def deletion_chain(
     k: int,
     scores: Mapping[int, float],
     max_batches: int | None = None,
-    flat=None,
 ) -> tuple[list[set[int]], list[frozenset[int]]]:
     """Peel ``graph`` at fixed scores; return (chain, batches).
 
@@ -172,15 +171,9 @@ def deletion_chain(
     with j = max_batches + 1; peeling still runs to the end, but recorded
     history is bounded.
 
-    ``flat`` optionally supplies a CSR view of ``graph`` (a
-    :class:`~repro.kernels.flatgraph.FlatGraph` over the same vertex
-    set); the chain is then peeled over int row arrays with batch
-    degree updates — same output, no dict copies.
+    :func:`repro.kernels.search.deletion_chain_rows` is the same chain
+    peeled over a CSR's int row arrays (the local search's path).
     """
-    if flat is not None:
-        from repro.kernels.search import deletion_chain_rows
-
-        return deletion_chain_rows(flat, query, k, scores, max_batches)
     q = list(query)
     if not q:
         raise QueryError("query set must be non-empty")
@@ -221,12 +214,9 @@ def nc_mac_at(
     query: Iterable[int],
     k: int,
     scores: Mapping[int, float],
-    flat=None,
 ) -> frozenset[int]:
     """The non-contained MAC at a fixed weight (last element of the chain)."""
-    chain, _batches = deletion_chain(
-        graph, query, k, scores, max_batches=0, flat=flat
-    )
+    chain, _batches = deletion_chain(graph, query, k, scores, max_batches=0)
     return frozenset(chain[-1])
 
 
@@ -236,10 +226,9 @@ def top_j_at(
     k: int,
     scores: Mapping[int, float],
     j: int,
-    flat=None,
 ) -> list[frozenset[int]]:
     """Top-j MACs at a fixed weight, best (highest score) first."""
     chain, _batches = deletion_chain(
-        graph, query, k, scores, max_batches=max(j - 1, 0), flat=flat
+        graph, query, k, scores, max_batches=max(j - 1, 0)
     )
     return [frozenset(c) for c in reversed(chain[-j:])]

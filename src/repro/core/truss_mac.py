@@ -21,6 +21,7 @@ from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.truss import k_truss, k_truss_containing
+from repro.kernels.search import search_flatgraph
 from repro.core.global_search import GlobalSearch
 from repro.core.peeling import Removal, restore_removed
 
@@ -121,7 +122,13 @@ class TrussGlobalSearch(GlobalSearch):
     Only the DFS cascade changes; partitioning of R, leaf maintenance on
     Gd and the Corollary-1 termination conditions are inherited verbatim
     — exactly the paper's claim that the framework is metric-agnostic.
+    It takes the truss as a row-sorted CSR
+    (:func:`~repro.kernels.search.search_flatgraph`) and always peels on
+    the set loop, the one that runs :meth:`_cascade`.
     """
+
+    def _loop(self) -> str:
+        return "python"
 
     def _cascade(self, graph: AdjacencyGraph, trigger: int) -> Removal:
         return truss_cascade_recoverable(graph, trigger, self.k)
@@ -163,7 +170,8 @@ def truss_mac_search(
     attrs = network.social.attributes_for(truss.vertices())
     gd = DominanceGraph(attrs, region)
     searcher = TrussGlobalSearch(
-        truss, gd, query, k, region, max_partitions=max_partitions
+        search_flatgraph(truss), gd, query, k, region,
+        max_partitions=max_partitions,
     )
     if problem == "nc":
         return searcher.search_nc()

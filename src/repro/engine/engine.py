@@ -49,7 +49,6 @@ from repro.kernels import (
     k_core_component,
     repair_delete_rows,
     repair_insert_rows,
-    search_flatgraph,
 )
 from repro.kernels.backend import gs_path
 from repro.live.invalidate import (
@@ -66,7 +65,7 @@ from repro.live.mutations import (
     normalize_batch,
     validate_batch,
 )
-from repro.social.roadsocial import KTCore, RoadSocialNetwork
+from repro.social.roadsocial import RoadSocialNetwork
 from repro.store.fingerprint import (
     advance_digest,
     format_digest,
@@ -114,15 +113,15 @@ class _PreparedFilter:
 class _PreparedCore:
     """Cached per-(Q, k, t) state: H^t_k and its attribute matrix.
 
-    ``search_flat`` is the row-sorted CSR view of H^t_k the flat search
-    loop peels over; it is built lazily on the first flat search of
-    this core and memoized here so repeat queries (and other (R, j,
-    problem) variations over the same core) reuse it.
+    ``flat`` is H^t_k's only copy: the row-sorted CSR
+    (:meth:`FlatGraph.sorted_subgraph`) both searchers run on, cut from
+    the filter CSR at extraction.  ``attributes`` is keyed by exactly
+    H^t_k's vertices, so it doubles as the member set the footprint
+    rules test.  Both are ``None`` for an infeasible (empty) core.
     """
 
-    core: KTCore | None
+    flat: FlatGraph | None
     attributes: dict[int, np.ndarray] | None
-    search_flat: FlatGraph | None = None
 
 
 @dataclass(frozen=True)
@@ -599,8 +598,7 @@ class MACEngine:
         kept_cores: set = set()
 
         def core_pred(key, state) -> bool:
-            members = None if state.core is None else state.core.graph
-            if attribute_dirty(members, user):
+            if attribute_dirty(state.attributes, user):
                 return True
             kept_cores.add(key)
             return False
@@ -658,8 +656,7 @@ class MACEngine:
             return edge_dirty_delete(members, u, v)
 
         def core_pred(key, state) -> bool:
-            members = None if state.core is None else state.core.graph
-            if dirty((key[0], key[2]), key[1], members):
+            if dirty((key[0], key[2]), key[1], state.attributes):
                 return True
             kept_cores.add(key)
             return False
@@ -780,8 +777,9 @@ class MACEngine:
 
     def _extract_core(
         self, prep: _PreparedFilter, request: MACRequest
-    ) -> KTCore | None:
-        """H^t_k cut from prepared filter state (Lemma 2/3 on its CSR rows)."""
+    ) -> FlatGraph | None:
+        """H^t_k's row-sorted CSR, cut from prepared filter state
+        (Lemma 2/3 on its CSR rows)."""
         flat = prep.flat
         if any(q not in flat for q in request.query):
             return None
@@ -790,13 +788,7 @@ class MACEngine:
         )
         if comp is None:
             return None
-        graph = flat.to_adjacency(comp)
-        return KTCore(
-            graph=graph,
-            query_distance={
-                v: prep.query_distance[v] for v in graph.vertices()
-            },
-        )
+        return flat.sorted_subgraph(comp)
 
     def _prepared_core(
         self,
@@ -816,13 +808,11 @@ class MACEngine:
             try:
                 if request.k > prep.max_coreness:
                     return _PreparedCore(None, None)
-                core = self._extract_core(prep, request)
-                if core is None:
+                htk = self._extract_core(prep, request)
+                if htk is None:
                     return _PreparedCore(None, None)
-                attrs = self.network.social.attributes_for(
-                    core.graph.vertices()
-                )
-                return _PreparedCore(core, attrs)
+                attrs = self.network.social.attributes_for(htk.ids)
+                return _PreparedCore(htk, attrs)
             finally:
                 times["core"] = time.perf_counter() - start
 
@@ -880,31 +870,18 @@ class MACEngine:
             f"auto: |H^t_k|={htk_vertices} > {self.auto_local_threshold}",
         )
 
-    def _search_flat(self, core_state: _PreparedCore) -> FlatGraph:
-        """Row-sorted CSR view of H^t_k (built once per prepared core).
-
-        A benign race under concurrent first use: both builders produce
-        identical views and the last assignment wins.
-        """
-        if core_state.search_flat is None:
-            core_state.search_flat = search_flatgraph(core_state.core.graph)
-        return core_state.search_flat
-
     def _run_searcher(
         self,
         request: MACRequest,
         algorithm: str,
         core_state: _PreparedCore,
         gd: DominanceGraph,
-        search_path: str,
         deadline: Deadline | None = None,
     ) -> tuple[list[PartitionEntry], SearchStats, bool]:
-        core = core_state.core
-        flat = self._search_flat(core_state) if search_path == "flat" else None
         anytime = request.anytime and deadline is not None
         if algorithm == "global":
             searcher = GlobalSearch(
-                core.graph,
+                core_state.flat,
                 gd,
                 request.query,
                 request.k,
@@ -913,12 +890,11 @@ class MACEngine:
                 refinement=request.refinement,
                 time_budget=request.time_budget,
                 deadline=deadline,
-                flat=flat,
                 anytime=anytime,
             )
         else:
             searcher = LocalSearch(
-                core.graph,
+                core_state.flat,
                 gd,
                 request.query,
                 request.k,
@@ -927,7 +903,6 @@ class MACEngine:
                 max_candidates=request.max_candidates,
                 certification=request.certification,
                 deadline=deadline,
-                flat=flat,
                 anytime=anytime,
             )
         if request.problem == "nc":
@@ -1043,7 +1018,7 @@ class MACEngine:
             core_state = self._prepared_core(
                 request, use_gtree, tel_cache, times, deadline
             )
-            if core_state.core is None:
+            if core_state.flat is None:
                 tel_cache["dominance"] = "skipped"
                 self._account_stage_times(times)
                 result = MACSearchResult(
@@ -1074,20 +1049,17 @@ class MACEngine:
             )
             return result
         prepare_s = time.perf_counter() - start
-        algorithm, _reason = self._resolve_algorithm(
-            request, core_state.core.num_vertices
-        )
+        htk = core_state.flat
+        algorithm, _reason = self._resolve_algorithm(request, htk.n)
         if deadline is not None and not anytime:
             # Anytime requests always enter the searcher: even with an
             # expired budget it drains immediately into a best-so-far
             # (H^t_k fallback) answer instead of raising here.
             deadline.check("search")
-        search_path = self._search_path(
-            algorithm, core_state.core.num_vertices
-        )
+        search_path = self._search_path(algorithm, htk.n)
         search_start = time.perf_counter()
         partitions, stats, partial = self._run_searcher(
-            request, algorithm, core_state, gd, search_path, deadline
+            request, algorithm, core_state, gd, deadline
         )
         search_s = time.perf_counter() - search_start
         times["search"] = search_s
@@ -1105,8 +1077,8 @@ class MACEngine:
             partitions,
             stats,
             time.perf_counter() - start,
-            htk_vertices=core_state.core.num_vertices,
-            htk_edges=core_state.core.num_edges,
+            htk_vertices=htk.n,
+            htk_edges=htk.num_edges,
             partial=partial,
             progress=progress,
         )
@@ -1158,7 +1130,7 @@ class MACEngine:
         core_state = self._prepared_core(
             request, use_gtree, tel, times, deadline
         )
-        if core_state.core is not None:
+        if core_state.flat is not None:
             self._dominance(request, core_state, tel, times, deadline)
         else:
             tel["dominance"] = "skipped"
@@ -1222,10 +1194,8 @@ class MACEngine:
             htk_vertices = template.htk_vertices
             upper = template.htk_vertices
         if core_cached:
-            feasible = core_state.core is not None
-            htk_vertices = (
-                core_state.core.num_vertices if feasible else 0
-            )
+            feasible = core_state.flat is not None
+            htk_vertices = core_state.flat.n if feasible else 0
             upper = htk_vertices
         elif result_cached:
             pass  # already resolved from the cached result above

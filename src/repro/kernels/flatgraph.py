@@ -268,6 +268,36 @@ class FlatGraph:
         graph._num_edges = len(nbr_ids) // 2
         return graph
 
+    def sorted_subgraph(self, mask: np.ndarray | None = None) -> FlatGraph:
+        """The unweighted CSR induced by the rows a boolean ``mask``
+        selects (every row when ``None``), each row's neighbors sorted.
+
+        Rows keep their relative order (ascending ids for every
+        int-keyed graph this package builds).  Sorting is needed
+        because a live insert repair splices neighbors out of order,
+        and the searchers' tie-breaks read neighbors in row order.
+        """
+        rows = np.arange(self.n) if mask is None else np.flatnonzero(mask)
+        offsets, counts = ragged_offsets(self.indptr, rows)
+        nbrs = self.indices[offsets]
+        m = rows.size
+        owner = np.repeat(np.arange(m), counts)
+        if mask is not None and nbrs.size:
+            keep = mask[nbrs]
+            owner = owner[keep]
+            nbrs = (np.cumsum(mask) - 1)[nbrs[keep]]  # old row -> new row
+        # Row-major keys: one sort orders every row's segment in place.
+        indices = np.sort(owner * m + nbrs) - owner * m
+        indptr = np.zeros(m + 1, np.int64)
+        np.cumsum(np.bincount(owner, minlength=m), out=indptr[1:])
+        ids_arr = None if self._ids_arr is None else self._ids_arr[rows]
+        if ids_arr is None:
+            fg = FlatGraph(indptr, indices, [self.ids[r] for r in rows.tolist()])
+        else:
+            fg = FlatGraph(indptr, indices, ids_arr.tolist())
+        fg._ids_arr = ids_arr
+        return fg
+
     # ------------------------------------------------------------------
     # id ↔ row mapping
     # ------------------------------------------------------------------

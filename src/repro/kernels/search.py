@@ -17,7 +17,8 @@ Equivalence with the dict-based reference paths rests on two facts:
 * rows are assigned in ascending vertex-id order, so every ``(score,
   row)`` tie-break matches the reference ``(score, id)`` tie-break.
 
-:func:`search_flatgraph` additionally sorts each CSR row's neighbor
+:meth:`FlatGraph.sorted_subgraph` (and :func:`search_flatgraph`, its
+adapter for dict graphs) additionally sorts each CSR row's neighbor
 list, which pins the frontier push order of the LS expand loop to the
 sorted-neighbor order the python path uses — heap contents stay
 bit-identical across backends.
@@ -39,19 +40,16 @@ _EMPTY = np.empty(0, np.int64)
 
 
 def search_flatgraph(graph) -> FlatGraph:
-    """CSR view of ``graph`` with each row's neighbors sorted by row.
+    """CSR view of a dict ``graph`` with each row's neighbors sorted by
+    row (:meth:`FlatGraph.sorted_subgraph` of its flattening).
 
     The searchers' substrate: sorted rows make neighbor iteration order
     deterministic (and identical to iterating ``sorted(neighbors(v))``
     on the dict graph), which the expand frontier's heap tie-breaking
-    depends on.
+    depends on.  The engine cuts its H^t_k this way straight from the
+    filter CSR; this adapter serves callers that hold a dict graph.
     """
-    fg = FlatGraph.from_adjacency(graph)
-    if fg.n and fg.indices.size:
-        src = np.repeat(np.arange(fg.n), np.diff(fg.indptr))
-        order = np.lexsort((fg.indices, src))
-        fg.indices = fg.indices[order]
-    return fg
+    return FlatGraph.from_adjacency(graph).sorted_subgraph()
 
 
 def _gather(fg: FlatGraph, rows: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ then mutated forward batch by batch.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 import zipfile
@@ -52,7 +53,7 @@ from repro.errors import ReproError, SnapshotError
 from repro.geometry.region import PreferenceRegion
 from repro.kernels.flatgraph import FlatGraph
 from repro.road.gtree import GTree
-from repro.social.roadsocial import KTCore, RoadSocialNetwork
+from repro.social.roadsocial import RoadSocialNetwork
 from repro.store.fingerprint import (
     format_digest,
     network_digest,
@@ -64,7 +65,8 @@ from repro.store.fingerprint import (
 #: v3: the manifest fingerprint is the ``mset256:`` multiset digest.
 #: v4: every filter entry stores its CSR view and per-row coreness.
 #: v5: every graph is stored as CSR arrays only (no edge lists).
-FORMAT_VERSION = 5
+#: v6: core entries store H^t_k's row-sorted CSR and no query distances.
+FORMAT_VERSION = 6
 
 FORMAT_NAME = "repro-index-snapshot"
 
@@ -78,8 +80,23 @@ DELTA_VERSION = 1
 #: The arrays of filter entry ``i``, stored as ``filter.<i>.<name>``.
 _FILTER_ARRAYS = ("ids", "dist", "coreness", "flat_indptr", "flat_indices")
 
-#: The arrays of feasible core entry ``i``, stored as ``core.<i>.<name>``.
-_CORE_ARRAYS = ("ids", "indptr", "indices", "dist")
+#: The arrays of feasible core entry ``i``, stored as ``core.<i>.<name>``:
+#: H^t_k's CSR with each row's neighbors sorted.
+_CORE_ARRAYS = ("ids", "indptr", "indices")
+
+#: The G-tree state arrays, stored as ``gtree.<name>``.
+_GTREE_ARRAYS = (
+    "parent",
+    "is_leaf",
+    "vert_ptr",
+    "vert_flat",
+    "border_ptr",
+    "border_flat",
+    "mat_ptr",
+    "mat_src",
+    "mat_dst",
+    "mat_w",
+)
 
 _CORRUPTION_ERRORS = (
     zipfile.BadZipFile,
@@ -217,16 +234,12 @@ def save_snapshot(engine, path, *, compress: bool = True) -> dict:
     core_entries = []
     for i, (key, state) in enumerate(engine._core_cache.items()):
         entry = _core_key_json(key)
-        entry["feasible"] = state.core is not None
-        if state.core is not None:
-            csr = FlatGraph.from_adjacency(state.core.graph).to_arrays()
-            dist = state.core.query_distance
-            csr["dist"] = np.asarray(
-                [dist[v] for v in csr["ids"].tolist()], np.float64
-            )
+        entry["feasible"] = state.flat is not None
+        if state.flat is not None:
+            csr = state.flat.to_arrays()
             for name in _CORE_ARRAYS:
                 arrays[f"core.{i}.{name}"] = csr[name]
-            entry["vertices"] = int(csr["ids"].size)
+            entry["vertices"] = state.flat.n
         core_entries.append(entry)
     components["core"] = core_entries
 
@@ -433,22 +446,21 @@ class _MmapArchive:
     """Read-only ``.npz`` view that memory-maps uncompressed members.
 
     ``np.load(mmap_mode=...)`` silently ignores the mmap request for
-    zipped archives, so this opens the zip by hand: a member stored
-    uncompressed (``save_snapshot(compress=False)``) comes back as a
-    read-only ``np.memmap`` into the archive file — demand-paged
-    physical memory the kernel shares across every process mapping the
-    same snapshot — while a deflated member falls back to a normal
-    in-memory read.  ``mapped`` counts how many lookups actually
-    mapped, so callers can tell whether sharing is in effect.
+    zipped archives, so this opens the zip by hand and maps the archive
+    file once: a member stored uncompressed
+    (``save_snapshot(compress=False)``) comes back as a read-only
+    ``np.memmap`` view into that one mapping — demand-paged physical
+    memory the kernel shares across every process mapping the same
+    snapshot — while a deflated member falls back to a normal in-memory
+    read.  ``mapped`` counts how many lookups actually mapped, so
+    callers can tell whether sharing is in effect.
     """
 
     def __init__(self, path: Path) -> None:
-        self._path = Path(path)
-        self._zf = zipfile.ZipFile(self._path)
+        self._zf = zipfile.ZipFile(path)
+        self._base = np.memmap(path, dtype=np.uint8, mode="r")
         self.files = [
-            name[:-4]
-            for name in self._zf.namelist()
-            if name.endswith(".npy")
+            name[:-4] for name in self._zf.namelist() if name.endswith(".npy")
         ]
         self.mapped = 0
 
@@ -470,37 +482,34 @@ class _MmapArchive:
         # ``header_offset`` points at the member's *local* file header,
         # whose name/extra fields may differ in length from the central
         # directory's copy — the payload offset must come from it.
-        with open(self._path, "rb") as f:
-            f.seek(info.header_offset)
-            local = f.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                return None
-            name_len, extra_len = struct.unpack("<HH", local[26:30])
-            data_offset = info.header_offset + 30 + name_len + extra_len
+        base = self._base
+        local = base[info.header_offset : info.header_offset + 30].tobytes()
+        if len(local) != 30 or local[:4] != b"PK\x03\x04":
+            return None  # the copy path reports the corruption
+        name_len, extra_len = struct.unpack("<HH", local[26:30])
+        start = info.header_offset + 30 + name_len + extra_len
         readers = {
             (1, 0): np.lib.format.read_array_header_1_0,
             (2, 0): np.lib.format.read_array_header_2_0,
         }
+        # A .npy header is padded to a multiple of 64 bytes; one longer
+        # than this read fails to parse and takes the copy path.
+        header = io.BytesIO(base[start : start + 1024].tobytes())
         try:
-            with self._zf.open(info.filename) as member:
-                version = np.lib.format.read_magic(member)
-                read_header = readers.get(tuple(version))
-                if read_header is None:
-                    return None  # unknown .npy version: take the copy path
-                shape, fortran, dtype = read_header(member)
-                npy_header = member.tell()
+            read_header = readers.get(tuple(np.lib.format.read_magic(header)))
+            if read_header is None:
+                return None  # unknown .npy version: take the copy path
+            shape, fortran, dtype = read_header(header)
         except Exception:
             return None  # unreadable .npy header: take the copy path
         if dtype.hasobject or any(s == 0 for s in shape):
             return None  # not mappable (pickled objects / zero bytes)
-        return np.memmap(
-            self._path,
-            dtype=dtype,
-            mode="r",
-            offset=data_offset + npy_header,
-            shape=shape,
-            order="F" if fortran else "C",
-        )
+        start += header.tell()
+        size = int(np.prod(shape)) * dtype.itemsize
+        if start + size > base.size or size != info.file_size - header.tell():
+            return None  # payload past the member: take the copy path
+        order = "F" if fortran else "C"
+        return base[start : start + size].view(dtype).reshape(shape, order=order)
 
     def close(self) -> None:
         self._zf.close()
@@ -548,14 +557,7 @@ def _expected_keys(manifest: dict) -> list[str]:
         if comp["road_flat"].get("weighted"):
             keys.append("road_flat.weights")
     if "gtree" in comp:
-        keys += [
-            f"gtree.{name}"
-            for name in (
-                "parent", "is_leaf", "vert_ptr", "vert_flat",
-                "border_ptr", "border_flat", "mat_ptr", "mat_src",
-                "mat_dst", "mat_w",
-            )
-        ]
+        keys += [f"gtree.{name}" for name in _GTREE_ARRAYS]
     for i in range(len(comp.get("filter", []))):
         keys += [f"filter.{i}.{name}" for name in _FILTER_ARRAYS]
     for i, entry in enumerate(comp.get("core", [])):
@@ -594,17 +596,19 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
     ``telemetry().stage_seconds`` and the per-result ``timings`` report
     as exact zeros.
 
-    Graphs are stored as CSR arrays only: filter entries get no
-    adjacency sets; each core's H^t_k is cut by ``FlatGraph.to_adjacency``.
+    Graphs are stored as CSR arrays only and adopted as they are
+    (``FlatGraph.from_arrays``): no filter or core entry is rebuilt
+    into adjacency sets, and each core entry's H^t_k is its stored
+    row-sorted CSR.
 
     With ``mmap=True``, arrays stored uncompressed (``save_snapshot``
     with ``compress=False``) are opened as read-only ``np.memmap``
-    views instead of copies, so the CSR payloads (road/filter flat
-    graphs and their coreness rows) stay file-backed and page-shared
+    views instead of copies, so the CSR payloads (road, filter and core
+    graphs and the coreness rows) stay file-backed and page-shared
     across processes.  State rebuilt into Python objects (G-tree node
-    maps, H^t_k adjacency sets, dominance DAGs) is materialized either
-    way — the worker tier shares those via fork copy-on-write.
-    Compressed members silently fall back to a normal read.
+    maps, dominance DAGs, attribute maps) is materialized either way —
+    the worker tier shares those via fork copy-on-write.  Compressed
+    members silently fall back to a normal read.
     """
     from repro.engine.engine import (
         MACEngine,
@@ -652,14 +656,7 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
 
         if "gtree" in comp and not network.has_gtree:
             meta = comp["gtree"]
-            state = {
-                name: _get(npz, f"gtree.{name}")
-                for name in (
-                    "parent", "is_leaf", "vert_ptr", "vert_flat",
-                    "border_ptr", "border_flat", "mat_ptr", "mat_src",
-                    "mat_dst", "mat_w",
-                )
-            }
+            state = {name: _get(npz, f"gtree.{name}") for name in _GTREE_ARRAYS}
             network._gtree = GTree.from_state(
                 network.road,
                 state,
@@ -692,20 +689,13 @@ def load_snapshot(path, network: RoadSocialNetwork, *, mmap=False, **overrides):
             if not entry.get("feasible"):
                 engine._core_cache.put(key, _PreparedCore(None, None))
                 continue
-            ids = _get(npz, f"core.{i}.ids")
-            graph = FlatGraph.from_arrays(
+            htk = FlatGraph.from_arrays(
                 _get(npz, f"core.{i}.indptr"),
                 _get(npz, f"core.{i}.indices"),
-                ids,
-            ).to_adjacency()
-            dist = _get(npz, f"core.{i}.dist")
-            verts = ids.tolist()
-            core = KTCore(
-                graph=graph,
-                query_distance=dict(zip(verts, dist.tolist())),
+                _get(npz, f"core.{i}.ids"),
             )
-            attrs = network.social.attributes_for(verts)
-            engine._core_cache.put(key, _PreparedCore(core, attrs))
+            attrs = network.social.attributes_for(htk.ids)
+            engine._core_cache.put(key, _PreparedCore(htk, attrs))
 
         for i, entry in enumerate(comp.get("dominance", [])):
             key = _dominance_key_from_json(entry)

@@ -10,6 +10,7 @@ from repro.core.peeling import nc_mac_at, top_j_at
 from repro.dominance.graph import DominanceGraph
 from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
+from repro.kernels.search import search_flatgraph
 
 from tests.conftest import (
     paper_attributes,
@@ -34,7 +35,9 @@ def paper_setup(paper_region):
 class TestPaperExample:
     def test_nc_macs_are_h1_and_h3(self, paper_setup, paper_region):
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         entries = search.search_nc()
         found = {e.best.members for e in entries}
         assert found == {H1, H3}
@@ -44,7 +47,9 @@ class TestPaperExample:
     ):
         """Example 3's headline: a 0.01 weight shift flips the answer."""
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         entries = search.search_nc()
 
         def best_at(w):
@@ -60,7 +65,9 @@ class TestPaperExample:
     def test_top2_in_r1(self, paper_setup, paper_region):
         """Example 2: the top-2 MACs for w in R1 are H1 then H2."""
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         entries = search.search_topj(2)
         w = np.array([0.15, 0.3])
         entry = next(e for e in entries if e.cell.contains(w))
@@ -68,7 +75,9 @@ class TestPaperExample:
 
     def test_partitions_cover_region(self, paper_setup, paper_region):
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         entries = search.search_nc()
         rng = np.random.default_rng(0)
         for w in paper_region.sample(rng, 60):
@@ -77,7 +86,9 @@ class TestPaperExample:
 
     def test_every_result_is_a_kt_core(self, paper_setup, paper_region):
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         for e in search.search_nc():
             sub = htk.subgraph(e.best.members)
             assert sub.min_degree() >= 3
@@ -86,7 +97,9 @@ class TestPaperExample:
 
     def test_stats_populated(self, paper_setup, paper_region):
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         entries = search.search_nc()
         assert search.stats.partitions == len(entries)
         assert search.stats.peel_rounds > 0
@@ -94,14 +107,17 @@ class TestPaperExample:
     def test_max_partitions_budget(self, paper_setup, paper_region):
         htk, gd = paper_setup
         search = GlobalSearch(
-            htk, gd, [2, 3, 6], 3, paper_region, max_partitions=1
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+            max_partitions=1,
         )
         with pytest.raises(QueryError):
             search.run()
 
     def test_invalid_j(self, paper_setup, paper_region):
         htk, gd = paper_setup
-        search = GlobalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        search = GlobalSearch(
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+        )
         with pytest.raises(QueryError):
             search.search_topj(0)
 
@@ -125,7 +141,7 @@ class TestOracleCrossValidation:
         region = PreferenceRegion([0.25, 0.25], [0.40, 0.40])
         attrs = {v: rng.uniform(0, 10, 3) for v in htk.vertices()}
         gd = DominanceGraph(attrs, region)
-        search = GlobalSearch(htk, gd, q, k, region)
+        search = GlobalSearch(search_flatgraph(htk), gd, q, k, region)
         entries = search.search_nc()
 
         def scores_at(w):
@@ -160,7 +176,7 @@ class TestOracleCrossValidation:
         attrs = {v: rng.uniform(0, 10, 3) for v in htk.vertices()}
         gd = DominanceGraph(attrs, region)
         j = 3
-        search = GlobalSearch(htk, gd, q, 3, region)
+        search = GlobalSearch(search_flatgraph(htk), gd, q, 3, region)
         entries = search.search_topj(j)
         for w in region.sample(rng, 15):
             owners = [e for e in entries if e.cell.contains(w, tol=1e-9)]
@@ -187,7 +203,7 @@ class TestOneDimensionalAttributes:
         rng = np.random.default_rng(1)
         attrs = {v: rng.uniform(0, 10, 1) for v in htk.vertices()}
         gd = DominanceGraph(attrs, region)
-        search = GlobalSearch(htk, gd, q, 3, region)
+        search = GlobalSearch(search_flatgraph(htk), gd, q, 3, region)
         entries = search.search_nc()
         assert len(entries) == 1
         scores = {v: float(attrs[v][0]) for v in htk.vertices()}

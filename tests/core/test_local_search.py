@@ -11,6 +11,7 @@ from repro.dominance.graph import DominanceGraph
 from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
 from repro.graph.core import k_core_containing
+from repro.kernels.search import search_flatgraph
 
 from tests.conftest import (
     paper_attributes,
@@ -34,7 +35,9 @@ class TestExpand:
     def test_candidates_are_k_cores_containing_q(self, paper_setup):
         htk, gd = paper_setup
         for strategy in ("eq3", "eq4"):
-            for members in expand(htk, gd, [2, 3, 6], 3, strategy=strategy):
+            for members in expand(
+                search_flatgraph(htk), gd, [2, 3, 6], 3, strategy=strategy,
+            ):
                 sub = htk.subgraph(members)
                 assert {2, 3, 6} <= members
                 assert sub.min_degree() >= 3
@@ -42,17 +45,18 @@ class TestExpand:
 
     def test_candidates_grow(self, paper_setup):
         htk, gd = paper_setup
-        sizes = [len(c) for c in expand(htk, gd, [2, 3, 6], 3)]
+        candidates = expand(search_flatgraph(htk), gd, [2, 3, 6], 3)
+        sizes = [len(c) for c in candidates]
         assert sizes == sorted(sizes)
 
     def test_unknown_strategy(self, paper_setup):
         htk, gd = paper_setup
         with pytest.raises(QueryError):
-            expand(htk, gd, [2], 3, strategy="nope")
+            expand(search_flatgraph(htk), gd, [2], 3, strategy="nope")
 
     def test_max_candidates_respected(self, paper_setup):
         htk, gd = paper_setup
-        out = expand(htk, gd, [2], 2, max_candidates=2)
+        out = expand(search_flatgraph(htk), gd, [2], 2, max_candidates=2)
         assert len(out) <= 2
 
 
@@ -61,7 +65,7 @@ class TestVerifyPaperWalkthrough:
 
     def test_h1_and_h3_certified(self, paper_setup, paper_region):
         htk, gd = paper_setup
-        ls = LocalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        ls = LocalSearch(search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region)
         found = {e.best.members for e in ls.search_nc()}
         assert found == {H1, H3}
 
@@ -71,14 +75,14 @@ class TestVerifyPaperWalkthrough:
         htk, gd = paper_setup
         h4 = frozenset({1, 2, 3, 6, 7})
         assert htk.subgraph(h4).min_degree() >= 3  # sanity: promising
-        ls = LocalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        ls = LocalSearch(search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region)
         assert ls._verify_candidate(h4) == []
 
     def test_bound_pair_v4_v5(self, paper_setup):
         """v4 and v5 are bound to each other w.r.t. H1 (Corollary 3(3)):
         each survives only with the other present."""
         htk, gd = paper_setup
-        ls = LocalSearch(htk, gd, [2, 3, 6], 3, gd.region)
+        ls = LocalSearch(search_flatgraph(htk), gd, [2, 3, 6], 3, gd.region)
         assert not ls._survives_alone(4, H1)
         assert not ls._survives_alone(5, H1)
 
@@ -86,7 +90,7 @@ class TestVerifyPaperWalkthrough:
         self, paper_setup, paper_region
     ):
         htk, gd = paper_setup
-        ls = LocalSearch(htk, gd, [2, 3, 6], 3, paper_region)
+        ls = LocalSearch(search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region)
         for entry in ls.search_nc():
             w = entry.sample_weight()
             scores = {v: gd.score_at(v, w) for v in htk.vertices()}
@@ -112,9 +116,11 @@ class TestSoundness:
 
         gs_found = {
             e.best.members
-            for e in GlobalSearch(htk, gd, q, 3, region).search_nc()
+            for e in GlobalSearch(
+                search_flatgraph(htk), gd, q, 3, region
+            ).search_nc()
         }
-        ls = LocalSearch(htk, gd, q, 3, region)
+        ls = LocalSearch(search_flatgraph(htk), gd, q, 3, region)
         ls_found = {e.best.members for e in ls.search_nc()}
         assert ls_found <= gs_found
         assert ls_found, "LS must find at least one NC-MAC"
@@ -130,7 +136,7 @@ class TestSoundness:
         region = PreferenceRegion([0.25, 0.25], [0.40, 0.40])
         attrs = {v: rng.uniform(0, 10, 3) for v in htk.vertices()}
         gd = DominanceGraph(attrs, region)
-        ls = LocalSearch(htk, gd, q, 3, region)
+        ls = LocalSearch(search_flatgraph(htk), gd, q, 3, region)
         for entry in ls.search_topj(3):
             w = entry.sample_weight()
             scores = {v: gd.score_at(v, w) for v in htk.vertices()}

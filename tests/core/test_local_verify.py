@@ -21,6 +21,7 @@ from repro.core.local_search import LocalSearch
 from repro.dominance.graph import DominanceGraph
 from repro.geometry.region import PreferenceRegion
 from repro.graph.core import k_core_containing
+from repro.kernels.search import search_flatgraph
 
 from tests.conftest import paper_attributes, paper_social_graph, random_graph
 from tests.core.test_search_backends import signature
@@ -133,8 +134,8 @@ def test_hasse_leaves_are_the_leaves_over_htk(setup):
 @given(setups)
 def test_local_checks_match_the_probes(setup):
     htk, gd, query, k, region = setup
-    ls = LocalSearch(htk, gd, query, k, region)
-    ref = ReferenceLocalSearch(htk, gd, query, k, region, flat=ls.flat)
+    ls = LocalSearch(search_flatgraph(htk), gd, query, k, region)
+    ref = ReferenceLocalSearch(ls.flat, gd, query, k, region)
     found = candidates(ls)
     assert found == candidates(ref)
     for members in found:
@@ -169,7 +170,7 @@ def test_search_matches_the_reference(setup, strategy, certification, j):
 
     def run(searcher, problem):
         search = searcher(
-            htk, gd, query, k, region, strategy=strategy,
+            search_flatgraph(htk), gd, query, k, region, strategy=strategy,
             certification=certification,
         )
         entries = search.search_nc() if problem == "nc" else (
@@ -187,9 +188,8 @@ def test_search_matches_the_reference(setup, strategy, certification, j):
 def test_stats_record_the_phases(paper_region):
     htk = paper_social_graph().subgraph(range(1, 8))
     attrs = {v: x for v, x in paper_attributes().items() if v <= 7}
-    ls = LocalSearch(
-        htk, DominanceGraph(attrs, paper_region), [2, 3, 6], 3, paper_region
-    )
+    gd = DominanceGraph(attrs, paper_region)
+    ls = LocalSearch(search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region)
     ls.search_nc()
     assert set(ls.stats.extra) == {"expand_s", "probe_s", "verify_s"}
     assert all(v >= 0 for v in ls.stats.extra.values())

@@ -189,7 +189,7 @@ def both_backends(htk, gd, query, k, region, **kwargs):
     """The flat loop and the dict reference loop over the same inputs."""
     flat = search_flatgraph(htk)
     for searcher in (LocalSearch, ReferenceLocalSearch):
-        yield searcher(htk, gd, query, k, region, flat=flat, **kwargs)
+        yield searcher(flat, gd, query, k, region, **kwargs)
 
 
 class TestCandidateEquality:
@@ -246,8 +246,7 @@ def yelp_shapes():
 def fresh_copy(ls):
     """A new searcher on ``ls``'s inputs (no memo carried over)."""
     return type(ls)(
-        ls.htk, ls.gd, ls.query, ls.k, ls.region, strategy=ls.strategy,
-        flat=ls.flat,
+        ls.flat, ls.gd, ls.query, ls.k, ls.region, strategy=ls.strategy
     )
 
 
@@ -326,8 +325,8 @@ class TestAnytimeInsideProbing:
         monkeypatch.setattr(local_search, "prefix_entry_sizes", arming_sweep)
         searcher = LocalSearch if flat else ReferenceLocalSearch
         ls = searcher(
-            htk, gd, [2, 3, 6], 3, paper_region, deadline=deadline,
-            anytime=True,
+            search_flatgraph(htk), gd, [2, 3, 6], 3, paper_region,
+            deadline=deadline, anytime=True,
         )
         entries = ls.search_nc()
         assert len(sweeps) == 1  # expired during the first probe's walk

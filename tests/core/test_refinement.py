@@ -16,6 +16,7 @@ from repro.dominance.graph import DominanceGraph
 from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
 from repro.graph.core import k_core_containing
+from repro.kernels.search import search_flatgraph
 
 from tests.conftest import (
     paper_attributes,
@@ -26,7 +27,8 @@ from tests.conftest import (
 
 @pytest.fixture
 def paper_setup(paper_region):
-    htk = paper_social_graph().subgraph(range(1, 8))
+    """H^t_k of the running example (as the searchers' CSR) and its Gd."""
+    htk = search_flatgraph(paper_social_graph().subgraph(range(1, 8)))
     attrs = {v: x for v, x in paper_attributes().items() if v <= 7}
     gd = DominanceGraph(attrs, paper_region)
     return htk, gd
@@ -70,7 +72,9 @@ class TestEnvelopeEquivalence:
         gd = DominanceGraph(attrs, region)
         found = {}
         for mode in ("arrangement", "envelope"):
-            search = GlobalSearch(htk, gd, q, 3, region, refinement=mode)
+            search = GlobalSearch(
+                search_flatgraph(htk), gd, q, 3, region, refinement=mode,
+            )
             found[mode] = {e.best.members for e in search.search_nc()}
         assert found["arrangement"] == found["envelope"]
 

@@ -1,8 +1,9 @@
 """Flat-kernel search loops are asserted equivalent to the python
 reference paths: same partitions, same cells, same communities, same
 ordering — on the paper's running example and on random graphs.  GS
-runs both of its loops; LS runs its one loop against the dict reference
-of ``tests/oracles/local_search.py``."""
+runs both of its loops (each forced through the ``force_path`` seam);
+LS runs its one loop against the dict reference of
+``tests/oracles/local_search.py``."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from repro.graph.core import k_core_containing
 from repro.kernels.search import search_flatgraph
 
 from tests.conftest import (
+    on_both_sides,
     paper_attributes,
     paper_social_graph,
     random_graph,
 )
+from tests.core.test_prefix_cores import tied_attributes
 from tests.oracles.local_search import ReferenceLocalSearch
 
 
@@ -47,20 +50,22 @@ def paper_setup(paper_region):
 class TestPaperExampleEquivalence:
     @pytest.mark.parametrize("problem,j", [("nc", 1), ("topj", 1), ("topj", 3)])
     @pytest.mark.parametrize("refinement", ["arrangement", "envelope"])
-    def test_global(self, paper_setup, paper_region, problem, j, refinement):
+    def test_global(
+        self, paper_setup, paper_region, force_path, problem, j, refinement
+    ):
         htk, gd = paper_setup
         flat = search_flatgraph(htk)
 
-        def run(flat_view):
+        def run():
             search = GlobalSearch(
-                htk, gd, [2, 3, 6], 3, paper_region,
-                refinement=refinement, flat=flat_view,
+                flat, gd, [2, 3, 6], 3, paper_region, refinement=refinement,
             )
             if problem == "nc":
                 return search.search_nc()
             return search.search_topj(j)
 
-        assert signature(run(flat)) == signature(run(None))
+        a, b = on_both_sides(force_path, run)
+        assert signature(a) == signature(b)
 
     @pytest.mark.parametrize("problem,j", [("nc", 1), ("topj", 2)])
     @pytest.mark.parametrize("strategy", ["eq3", "eq4"])
@@ -73,9 +78,8 @@ class TestPaperExampleEquivalence:
 
         def run(searcher):
             search = searcher(
-                htk, gd, [2, 3, 6], 3, paper_region,
+                flat, gd, [2, 3, 6], 3, paper_region,
                 strategy=strategy, certification=certification,
-                flat=flat,
             )
             if problem == "nc":
                 return search.search_nc()
@@ -88,7 +92,7 @@ class TestPaperExampleEquivalence:
 
 class TestRandomGraphEquivalence:
     @pytest.mark.parametrize("seed", range(8))
-    def test_global_topj(self, seed):
+    def test_global_topj(self, seed, force_path):
         rng = np.random.default_rng(seed + 5)
         graph = random_graph(24, 0.3, seed=seed * 7 + 1)
         q = [sorted(graph.vertices())[0]]
@@ -100,13 +104,13 @@ class TestRandomGraphEquivalence:
         gd = DominanceGraph(attrs, region)
         flat = search_flatgraph(htk)
 
-        def run(flat_view):
+        def run():
             return GlobalSearch(
-                htk, gd, q, 2, region,
-                refinement="envelope", flat=flat_view,
+                flat, gd, q, 2, region, refinement="envelope",
             ).search_topj(3)
 
-        assert signature(run(flat)) == signature(run(None))
+        a, b = on_both_sides(force_path, run)
+        assert signature(a) == signature(b)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("strategy", ["eq3", "eq4"])
@@ -124,7 +128,7 @@ class TestRandomGraphEquivalence:
 
         def run(searcher):
             return searcher(
-                htk, gd, q, 2, region, strategy=strategy, flat=flat,
+                flat, gd, q, 2, region, strategy=strategy,
             ).search_nc()
 
         assert signature(run(LocalSearch)) == signature(
@@ -146,9 +150,52 @@ class TestRandomGraphEquivalence:
 
         def run(searcher):
             return searcher(
-                htk, gd, q, 3, region, certification="chain", flat=flat,
+                flat, gd, q, 3, region, certification="chain",
             ).search_topj(2)
 
         assert signature(run(LocalSearch)) == signature(
             run(ReferenceLocalSearch)
         )
+
+
+class TestTiedAttributeRows:
+    """Both GS loops on attribute ties: equal rows (which Gd orients by
+    insertion order) and one-decimal rows whose scores tie."""
+
+    @pytest.mark.parametrize("copies", [[(4, 5)], [(4, 5), (7, 3), (1, 6)]])
+    @pytest.mark.parametrize("problem,j", [("nc", 1), ("topj", 3)])
+    def test_paper_example(self, paper_region, force_path, copies, problem, j):
+        htk = paper_social_graph().subgraph(range(1, 8))
+        attrs = {v: x for v, x in paper_attributes().items() if v <= 7}
+        for v, u in copies:
+            attrs[v] = attrs[u].copy()
+        gd = DominanceGraph(attrs, paper_region)
+        flat = search_flatgraph(htk)
+
+        def run():
+            search = GlobalSearch(flat, gd, [2, 3, 6], 3, paper_region)
+            if problem == "nc":
+                return search.search_nc()
+            return search.search_topj(j)
+
+        a, b = on_both_sides(force_path, run)
+        assert a and signature(a) == signature(b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, force_path, seed):
+        graph = random_graph(22, 0.35, seed=seed * 11 + 2)
+        q = [sorted(graph.vertices())[seed % 3]]
+        htk = k_core_containing(graph, q, 2)
+        if htk is None:
+            pytest.skip("no k-core")
+        region = PreferenceRegion([0.25, 0.25], [0.40, 0.40])
+        gd = DominanceGraph(tied_attributes(htk.vertices(), 3, seed), region)
+        flat = search_flatgraph(htk)
+
+        def run():
+            return GlobalSearch(
+                flat, gd, q, 2, region, refinement="envelope",
+            ).search_topj(2)
+
+        a, b = on_both_sides(force_path, run)
+        assert signature(a) == signature(b)

@@ -17,6 +17,7 @@ from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.truss import k_truss_containing
+from repro.kernels.search import search_flatgraph
 
 from tests.conftest import (
     paper_attributes,
@@ -97,7 +98,9 @@ class TestTrussGlobalSearch:
             v: x for v, x in paper_attributes().items() if v in truss
         }
         gd = DominanceGraph(attrs, paper_region)
-        search = TrussGlobalSearch(truss, gd, [2, 6], 4, paper_region)
+        search = TrussGlobalSearch(
+            search_flatgraph(truss), gd, [2, 6], 4, paper_region,
+        )
         entries = search.search_nc()
         rng = np.random.default_rng(0)
         for w in paper_region.sample(rng, 15):
@@ -120,7 +123,9 @@ class TestTrussGlobalSearch:
         region = PreferenceRegion([0.25, 0.25], [0.40, 0.40])
         attrs = {v: rng.uniform(0, 10, 3) for v in truss.vertices()}
         gd = DominanceGraph(attrs, region)
-        entries = TrussGlobalSearch(truss, gd, q, 4, region).search_nc()
+        entries = TrussGlobalSearch(
+            search_flatgraph(truss), gd, q, 4, region
+        ).search_nc()
         for e in entries:
             w = e.sample_weight()
             scores = {v: gd.score_at(v, w) for v in truss.vertices()}

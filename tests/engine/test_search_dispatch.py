@@ -50,37 +50,32 @@ class TestDispatch:
     def test_auto_small_core_runs_the_set_loop(self, yelp):
         engine = MACEngine(yelp[0].network)
         result, state = run(engine, small_request(yelp))
-        size = state.core.num_vertices
-        assert size < backend_module.GS_FLAT_MIN_CORE
-        assert state.search_flat is None
+        assert state.flat.n < backend_module.GS_FLAT_MIN_CORE
         assert result.extra["engine"]["search_backend"] == "python"
 
     @pytest.mark.parametrize("offset,expected", [(0, "flat"), (1, "python")])
     def test_threshold_is_inclusive(self, yelp, monkeypatch, offset, expected):
         probe = MACEngine(yelp[0].network)
-        size = run(probe, small_request(yelp))[1].core.num_vertices
+        size = run(probe, small_request(yelp))[1].flat.n
         monkeypatch.setattr(
             backend_module, "GS_FLAT_MIN_CORE", size + offset
         )
         engine = MACEngine(yelp[0].network)
-        result, state = run(engine, small_request(yelp))
+        result, _state = run(engine, small_request(yelp))
         assert result.extra["engine"]["search_backend"] == expected
-        assert (state.search_flat is not None) == (expected == "flat")
 
     @pytest.mark.parametrize("backend", ["flat", "python"])
     def test_explicit_backend_is_obeyed(self, yelp, force_path, backend):
         force_path(backend)
         engine = MACEngine(yelp[0].network)
-        result, state = run(engine, small_request(yelp))
+        result, _state = run(engine, small_request(yelp))
         assert result.extra["engine"]["search_backend"] == backend
-        assert (state.search_flat is not None) == (backend == "flat")
 
     def test_engine_default_is_obeyed(self, yelp, force_path):
         force_path("flat")
         engine = MACEngine(yelp[0].network)
-        result, state = run(engine, small_request(yelp))
+        result, _state = run(engine, small_request(yelp))
         assert result.extra["engine"]["search_backend"] == "flat"
-        assert state.search_flat is not None
 
     def test_local_search_runs_the_flat_loop(self, yelp):
         engine = MACEngine(yelp[0].network)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from tests.conftest import paper_road, random_graph
 from repro.errors import GraphError
 from repro.graph.adjacency import AdjacencyGraph
-from repro.kernels import FlatGraph, core_numbers
+from repro.kernels import (
+    FlatGraph,
+    core_numbers,
+    delete_edge_rows,
+    insert_edge_rows,
+    search_flatgraph,
+)
 
 
 class TestFromAdjacency:
@@ -144,6 +150,100 @@ class TestToAdjacency:
         mask = np.asarray(core_numbers(fg) >= 2)
         assert_cut_equals_subgraph(fg, graph, mask)
         assert_cut_equals_subgraph(fg, graph, None)
+
+
+def assert_sorted_cut(fg, mask) -> None:
+    """``fg.sorted_subgraph(mask)`` is bit-identical to the dict detour."""
+    cut = fg.sorted_subgraph(mask)
+    want = search_flatgraph(fg.to_adjacency(mask))
+    assert cut.ids == want.ids
+    for name in ("indptr", "indices"):
+        got, exp = getattr(cut, name), getattr(want, name)
+        assert got.dtype == exp.dtype == np.int64
+        assert np.array_equal(got, exp)
+    assert cut.weights is None
+    if cut.n:
+        assert cut.row_of(cut.ids[-1]) == cut.n - 1
+
+
+def toggled_csr(fg, rng, edits: int):
+    """``fg`` after ``edits`` live insert/delete splices on random rows."""
+    for _ in range(edits):
+        if fg.n < 2:
+            return fg
+        u, v = (int(x) for x in rng.choice(fg.n, 2, replace=False))
+        if v in fg.neighbor_rows(u):
+            fg = delete_edge_rows(fg, u, v)
+        else:
+            fg = insert_edge_rows(fg, u, v)
+    return fg
+
+
+class TestSortedSubgraph:
+    """The row-sorted CSR cut equals ``search_flatgraph`` of the
+    ``to_adjacency`` cut, array for array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 30),
+        st.sampled_from([0.0, 0.05, 0.15, 0.4]),
+        st.integers(0, 10_000),
+        st.sampled_from([1, 7]),
+        st.integers(0, 12),
+        st.data(),
+    )
+    def test_random_masks_after_live_repairs(
+        self, n, p, seed, stride, edits, data
+    ):
+        base = random_graph(n, p, seed=seed)  # isolated rows included
+        graph = AdjacencyGraph()
+        for v in base.vertices():
+            graph.add_vertex(v * stride + 3)
+        for u, v in base.edges():
+            graph.add_edge(u * stride + 3, v * stride + 3)
+        rng = np.random.default_rng(seed)
+        fg = toggled_csr(FlatGraph.from_adjacency(graph), rng, edits)
+        picks = data.draw(st.lists(st.booleans(), min_size=fg.n, max_size=fg.n))
+        assert_sorted_cut(fg, np.asarray(picks, bool))
+        assert_sorted_cut(fg, None)
+        assert_sorted_cut(fg, np.zeros(fg.n, bool))
+        if fg.n:
+            single = np.zeros(fg.n, bool)
+            single[data.draw(st.integers(0, fg.n - 1))] = True
+            assert_sorted_cut(fg, single)
+
+    def test_an_insert_splice_is_sorted_back(self):
+        graph = AdjacencyGraph([(1, 9), (9, 5)])
+        graph.add_vertex(3)
+        fg = FlatGraph.from_adjacency(graph)
+        fg = insert_edge_rows(fg, fg.row_of(9), fg.row_of(3))
+        spliced = fg.neighbor_rows(fg.row_of(9)).tolist()
+        assert spliced != sorted(spliced)  # appended after the old row
+        cut = fg.sorted_subgraph(None)
+        assert cut.neighbor_rows(cut.row_of(9)).tolist() == sorted(spliced)
+        assert_sorted_cut(fg, None)
+
+    def test_zero_row_csr(self):
+        fg = FlatGraph.from_adjacency(AdjacencyGraph())
+        for mask in (None, np.zeros(0, bool)):
+            assert_sorted_cut(fg, mask)
+            assert fg.sorted_subgraph(mask).n == 0
+
+    def test_memmapped_arrays(self, tmp_path):
+        graph = random_graph(40, 0.1, seed=11)
+        fg = toggled_csr(
+            FlatGraph.from_adjacency(graph), np.random.default_rng(3), 20
+        )
+        mapped = {}
+        for name, arr in fg.to_arrays().items():
+            np.save(tmp_path / f"{name}.npy", arr)
+            mapped[name] = np.load(tmp_path / f"{name}.npy", mmap_mode="r")
+        fg = FlatGraph.from_arrays(**mapped)
+        assert not fg.indices.flags.writeable  # a view of the mapping
+        assert_sorted_cut(fg, np.asarray(core_numbers(fg) >= 2))
+        assert_sorted_cut(fg, None)
+        cut = fg.sorted_subgraph(None)
+        assert not isinstance(cut.indices, np.memmap)
 
 
 class TestFromEdges:

@@ -9,9 +9,14 @@ each warm filter entry with the live social graph induced on that
 entry's filtered users (``query_distance``), which no repair touches:
 the entry's CSR must read that subgraph's adjacency, and its
 ``core_rows`` the reference Batagelj–Zaversnik decomposition
-(``tests/oracles/kcore.py``) of that subgraph.  Only the test process
-checks: forked pool workers inherit the patched method but skip the
-comparison, so they keep the production apply path.
+(``tests/oracles/kcore.py``) of that subgraph.  Every core entry the
+footprint rules kept must still hold H^t_k: a feasible entry's CSR must
+be bit-identical to the row-sorted CSR of the connected k-core
+containing Q in the live social graph induced on that (Q, t)'s filtered
+users (recomputed by ``query_distance_filter`` when the filter entry
+was evicted), and an infeasible entry must have no such k-core.  Only
+the test process checks: forked pool workers inherit the patched method
+but skip the comparison, so they keep the production apply path.
 """
 
 from __future__ import annotations
@@ -22,9 +27,37 @@ import numpy as np
 import pytest
 
 from repro.engine.engine import MACEngine
+from repro.graph.core import k_core_containing
+from repro.kernels.search import search_flatgraph
 from repro.store import fingerprint
 
 from tests.oracles.kcore import core_decomposition
+
+
+def csr_arrays(flat) -> tuple:
+    """A CSR's ids, row pointers and neighbor rows, as plain lists."""
+    return list(flat.ids), flat.indptr.tolist(), flat.indices.tolist()
+
+
+def check_core_entries(engine) -> None:
+    """Each kept core entry against H^t_k recomputed from the network."""
+    network = engine.network
+    social = network.social.graph
+    filters = dict(engine._filter_cache.items())
+    for key, state in engine._core_cache.items():
+        query, k, t = key
+        prep = filters.get((query, t))
+        if prep is None:
+            users = network.query_distance_filter(query, t)
+        else:
+            users = prep.query_distance
+        htk = k_core_containing(social.subgraph(users), query, k)
+        if state.flat is None:
+            assert htk is None, f"infeasible core entry turned feasible: {key}"
+            continue
+        assert htk is not None, f"feasible core entry died: {key}"
+        want = csr_arrays(search_flatgraph(htk))
+        assert csr_arrays(state.flat) == want, f"H^t_k drifted in {key}"
 
 
 def csr_adjacency(flat) -> dict:
@@ -58,6 +91,7 @@ def checked_apply_state(monkeypatch):
                 rows = prep.flat.relabel(prep.core_rows)
                 expected = core_decomposition(live)
                 assert rows == expected, f"coreness rows drifted in {key}"
+            check_core_entries(engine)
         return summary
 
     monkeypatch.setattr(MACEngine, "apply", checked_apply)

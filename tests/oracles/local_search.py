@@ -21,6 +21,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.core.local_search import LAMBDA, ZETA, LocalSearch, _UnionFind
 from repro.core.peeling import (
     cascade_delete,
@@ -135,8 +137,11 @@ def expand(
 
 
 def kcore_members(ls: LocalSearch, vertices) -> frozenset[int] | None:
-    """Members of the connected k-ĉore of H^t_k[vertices] around Q."""
-    core = k_core_containing(ls.htk.subgraph(vertices), ls.query, ls.k)
+    """Members of the connected k-ĉore of H^t_k[vertices] around Q,
+    peeled on the dict graph of ``ls``'s CSR rows under ``vertices``."""
+    mask = np.zeros(ls.flat.n, bool)
+    mask[ls.flat.rows_of(vertices)] = True
+    core = k_core_containing(ls.flat.to_adjacency(mask), ls.query, ls.k)
     if core is None:
         return None
     return frozenset(core.vertices())
@@ -157,10 +162,12 @@ def tops_within(gd: DominanceGraph, subset: Iterable[int]) -> list[int]:
 
 
 class ReferenceLocalSearch(LocalSearch):
-    """A :class:`LocalSearch` on the dict expand and probe-based Verify."""
+    """A :class:`LocalSearch` on the dict expand and probe-based Verify,
+    over the dict graph of the CSR it is given (``htk``)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.htk = self.flat.to_adjacency()
         self._all_leaves = frozenset(leaves_within(self.gd, self._all))
         self._bound_memo: dict[tuple[int, frozenset[int]], bool] = {}
 

@@ -1,13 +1,20 @@
 """Uncompressed snapshots + memory-mapped loads (the worker tier's diet)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
-from repro import MACEngine, MACRequest, PreferenceRegion
+from repro import MACEngine, MACRequest, PreferenceRegion, SnapshotError
 from repro.road.network import SpatialPoint
 from repro.social.network import SocialNetwork
 from repro.social.roadsocial import RoadSocialNetwork
-from repro.store.snapshot import _MmapArchive, _open_arrays, read_manifest
+from repro.store.snapshot import (
+    _get,
+    _MmapArchive,
+    _open_arrays,
+    read_manifest,
+)
 
 from tests.conftest import paper_attributes, paper_road, paper_social_graph
 
@@ -44,6 +51,13 @@ def build_snapshot(tmp_path, request_, compress: bool):
 
 def members(result):
     return [sorted(entry.best.members) for entry in result.partitions]
+
+
+def root_buffer(arr):
+    """The object at the end of ``arr``'s base chain (its mapping)."""
+    while arr.base is not None and isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.base
 
 
 class TestUncompressedLayout:
@@ -91,6 +105,41 @@ class TestUncompressedLayout:
             assert isinstance(npz, _MmapArchive)
             arr = npz["road_flat.indptr"]
             assert isinstance(arr, np.memmap)
+            assert npz.mapped == 1
+
+    def test_every_mapped_member_views_one_mapping(self, tmp_path, request_):
+        path, _manifest, _cold = build_snapshot(tmp_path, request_, False)
+        with _open_arrays(path, mmap=True) as npz:
+            arrays = [npz[key] for key in npz.files]
+            mapped = [a for a in arrays if isinstance(a, np.memmap)]
+            assert npz.mapped == len(mapped) > 3
+            roots = {id(root_buffer(a)) for a in mapped}
+            assert len(roots) == 1
+            assert all(not a.flags.writeable for a in mapped)
+        engine = MACEngine.load(path, make_network(), mmap=True)
+        (prep,) = (p for _key, p in engine._filter_cache.items())
+        (core,) = (c for _key, c in engine._core_cache.items())
+        loaded = [
+            engine.network.road._flat.indptr,
+            prep.flat.indices,
+            core.flat.indptr,
+            core.flat.indices,
+        ]
+        assert len({id(root_buffer(a)) for a in loaded}) == 1
+
+    def test_a_bad_local_header_is_not_mapped(self, tmp_path, request_):
+        path, _manifest, _cold = build_snapshot(tmp_path, request_, False)
+        archive = path / "arrays.npz"
+        with zipfile.ZipFile(archive) as zf:
+            offset = zf.getinfo("road_flat.indptr.npy").header_offset
+        data = bytearray(archive.read_bytes())
+        data[offset : offset + 4] = b"JUNK"
+        archive.write_bytes(bytes(data))
+        with _open_arrays(path, mmap=True) as npz:
+            with pytest.raises(SnapshotError, match="corrupted"):
+                _get(npz, "road_flat.indptr")
+            assert npz.mapped == 0
+            assert isinstance(npz["road_flat.indices"], np.memmap)
             assert npz.mapped == 1
 
     def test_mmap_member_equals_decompressed_member(self, tmp_path, request_):

@@ -72,6 +72,15 @@ def members(result):
     return [sorted(entry.best.members) for entry in result.partitions]
 
 
+def backed_by_memmap(arr) -> bool:
+    """Does ``arr`` view a ``np.memmap`` (through its base chain)?"""
+    while arr is not None:
+        if isinstance(arr, np.memmap):
+            return True
+        arr = getattr(arr, "base", None)
+    return False
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", ["flat", "python"])
     def test_first_query_after_load_builds_nothing(
@@ -159,19 +168,19 @@ class TestRoundTrip:
         saved = dict(engine._core_cache.items())
         restored = dict(loaded._core_cache.items())
         assert restored.keys() == saved.keys()
-        assert sum(s.core is not None for s in saved.values()) >= 3
+        assert sum(s.flat is not None for s in saved.values()) >= 3
         for key, state in saved.items():
             got = restored[key]
-            if state.core is None:
-                assert got.core is None
+            if state.flat is None:
+                assert got.flat is None and got.attributes is None
                 continue
-            graph, want = got.core.graph, state.core.graph
-            got_adj = {v: graph.neighbors(v) for v in graph.vertices()}
-            want_adj = {v: want.neighbors(v) for v in want.vertices()}
-            assert got_adj == want_adj
-            assert graph.num_edges == want.num_edges
-            assert got.core.query_distance == state.core.query_distance
-            assert got.search_flat is None  # still built on first search
+            assert got.flat.ids == state.flat.ids
+            for name in ("indptr", "indices"):
+                arr = getattr(got.flat, name)
+                assert np.array_equal(arr, getattr(state.flat, name))
+                # Adopted as stored: file-backed when stored uncompressed.
+                assert backed_by_memmap(arr) == (not compress)
+            assert got.attributes.keys() == state.attributes.keys()
 
     def test_engine_config_restored_and_overridable(
         self, tmp_path, request_
@@ -267,6 +276,20 @@ class TestFailureModes:
         manifest["format_version"] = 3
         for entry in manifest["components"]["filter"]:
             entry["has_flat"] = False
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="rebuild"):
+            MACEngine.load(path, make_network())
+        with pytest.raises(SnapshotError, match="rebuild"):
+            verify_snapshot(path)
+
+    def test_format_5_snapshot_asks_for_a_rebuild(self, tmp_path, request_):
+        # Format 5 stored core entries' CSR unsorted beside a query
+        # distance array (``core.<i>.dist``); this build serves H^t_k
+        # straight from the stored CSR, which must be row-sorted, so it
+        # is refused, never misread.
+        _engine, _result, path = warmed_snapshot(tmp_path, request_)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 5
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="rebuild"):
             MACEngine.load(path, make_network())

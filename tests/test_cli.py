@@ -238,7 +238,7 @@ class TestIndexCommand:
 
         assert main(["index", "info", out]) == 0
         info = capsys.readouterr().out
-        assert "repro-index-snapshot v5" in info
+        assert "repro-index-snapshot v6" in info
         assert "g-tree" in info
         # The input picks the compute path: no snapshot records one.
         assert "backend" not in built and "backend" not in info
